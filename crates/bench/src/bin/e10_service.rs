@@ -1,5 +1,5 @@
-//! Prints the E10 table (persistent verification service vs. one-shot
-//! batch pipeline, with cert-cache hit rate and the overload scenario)
+//! Prints the E10 table (persistent verification service across thread
+//! and shard counts, with cert-cache hit rate and the overload scenario)
 //! and drops the run's perf artifacts under `target/bench/`.
 use utp_bench::experiments::e10_service as e10;
 

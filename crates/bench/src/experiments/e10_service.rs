@@ -1,11 +1,7 @@
-//! E10 — persistent `VerifierService` throughput vs. the one-shot batch
-//! pipeline, across shard counts, with cert-cache hit rate.
+//! E10 — persistent `VerifierService` throughput across thread and
+//! shard counts, with cert-cache hit rate and an overload scenario.
 //!
-//! Host-measured like E4: the RSA verifies are our actual code. The
-//! legacy baseline (`verify_batch_parallel`) runs with the certificate
-//! cache disabled — its historical cost model revalidated the AIK
-//! certificate on every job — so the service rows isolate what sharding
-//! plus caching buy at equal thread count.
+//! Host-measured like E4: the RSA verifies are our actual code.
 //!
 //! Each service run carries a `utp-trace` flight recorder: workers emit
 //! volatile `svc.job` records (queue wait + verify CPU per job), the
@@ -16,12 +12,11 @@
 //!
 //! Regenerate: `cargo run -p utp-bench --bin e10_service`
 
-use crate::experiments::e4_server_throughput::{self as e4, ThroughputRow};
+use crate::experiments::e4_server_throughput as e4;
 use crate::table;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use utp_server::metrics::{throughput, ServiceStats};
-use utp_server::pipeline::verify_batch_parallel;
 use utp_server::service::{ServiceConfig, SubmitError, VerifierService};
 use utp_trace::{keys, names, Export, LatencyHistogram, Recorder, Value};
 
@@ -62,11 +57,9 @@ pub struct OverloadRow {
     pub stats: ServiceStats,
 }
 
-/// The experiment output: legacy baseline rows plus service rows.
+/// The experiment output.
 #[derive(Debug, Clone)]
 pub struct E10Report {
-    /// `verify_batch_parallel` at each thread count (cache disabled).
-    pub legacy: Vec<ThroughputRow>,
     /// `VerifierService` at each thread × shard combination.
     pub service: Vec<ServiceRow>,
     /// The deliberately overloaded run (queue depth 1, single worker).
@@ -97,8 +90,8 @@ fn job_histograms(recorder: &Recorder) -> (LatencyHistogram, LatencyHistogram) {
     (wait, verify)
 }
 
-/// Runs the comparison. Nonces are consumed by settlement, so each
-/// service row gets a fresh service with the same requests re-registered.
+/// Runs the grid. Nonces are consumed by settlement, so each service row
+/// gets a fresh service with the same requests re-registered.
 pub fn run(
     jobs_n: usize,
     key_bits: usize,
@@ -106,21 +99,6 @@ pub fn run(
     shard_counts: &[usize],
 ) -> E10Report {
     let world = e4::build_world(jobs_n, key_bits);
-    let legacy = thread_counts
-        .iter()
-        .map(|&threads| {
-            let start = Instant::now();
-            let results = verify_batch_parallel(&world.ca_key, &world.pals, &world.jobs, threads);
-            let elapsed = start.elapsed();
-            assert!(results.iter().all(|r| r.is_ok()), "all jobs genuine");
-            ThroughputRow {
-                threads,
-                jobs: world.jobs.len(),
-                elapsed,
-                ops_per_sec: throughput(world.jobs.len(), elapsed),
-            }
-        })
-        .collect();
     let mut service_rows = Vec::new();
     let mut canonical_trace = String::new();
     for &threads in thread_counts {
@@ -159,7 +137,6 @@ pub fn run(
     }
     let overload = run_overload(&world);
     E10Report {
-        legacy,
         service: service_rows,
         overload,
         canonical_trace,
@@ -216,14 +193,8 @@ fn run_overload(world: &e4::ServerWorld) -> OverloadRow {
 /// counters all depend on host scheduling (host class).
 pub fn artifacts(report: &E10Report, config: &str) -> utp_obs::ArtifactPair {
     let mut pair = utp_obs::ArtifactPair::new("E10", config);
-    for r in &report.legacy {
-        let threads = r.threads.to_string();
-        let labels: &[(&str, &str)] = &[("pipeline", "batch"), ("threads", &threads)];
-        pair.canonical.push_u64("e10.jobs", labels, r.jobs as u64);
-        pair.host
-            .push_u64("e10.elapsed_ns", labels, r.elapsed.as_nanos() as u64);
-        pair.host.push_f64("e10.ops_per_sec", labels, r.ops_per_sec);
-    }
+    // Every row keeps its `pipeline=service` label so the metric keys
+    // stay comparable with the checked-in baselines.
     for r in &report.service {
         let threads = r.threads.to_string();
         let shards = r.shards.to_string();
@@ -290,46 +261,29 @@ pub fn artifacts(report: &E10Report, config: &str) -> utp_obs::ArtifactPair {
     pair
 }
 
-/// Renders the E10 table: legacy rows first (no shards, no cache, no
-/// flight recording), then the service grid with trace-derived queue
-/// wait and verify-CPU percentiles.
+/// Renders the E10 table: the service grid with trace-derived queue
+/// wait and verify-CPU percentiles, then the overload line.
 pub fn render(report: &E10Report) -> String {
-    let mut rows: Vec<Vec<String>> = report
-        .legacy
+    let rows: Vec<Vec<String>> = report
+        .service
         .iter()
         .map(|r| {
             vec![
-                "batch".to_string(),
                 r.threads.to_string(),
-                "-".to_string(),
+                r.shards.to_string(),
                 r.jobs.to_string(),
                 table::ms(r.elapsed),
                 format!("{:.0}", r.ops_per_sec),
-                "-".to_string(),
-                "-".to_string(),
-                "-".to_string(),
-                "-".to_string(),
+                format!("{:.2}", r.cache_hit_rate),
+                table::ms(r.wait.p50()),
+                table::ms(r.wait.p99()),
+                format!("{:.1}", r.verify.p50().as_secs_f64() * 1e6),
             ]
         })
         .collect();
-    rows.extend(report.service.iter().map(|r| {
-        vec![
-            "service".to_string(),
-            r.threads.to_string(),
-            r.shards.to_string(),
-            r.jobs.to_string(),
-            table::ms(r.elapsed),
-            format!("{:.0}", r.ops_per_sec),
-            format!("{:.2}", r.cache_hit_rate),
-            table::ms(r.wait.p50()),
-            table::ms(r.wait.p99()),
-            format!("{:.1}", r.verify.p50().as_secs_f64() * 1e6),
-        ]
-    }));
     let mut out = table::render(
-        "E10 - VerifierService vs one-shot batch pipeline (host-measured, from utp-trace)",
+        "E10 - VerifierService across threads x shards (host-measured, from utp-trace)",
         &[
-            "pipeline",
             "threads",
             "shards",
             "jobs",
@@ -360,20 +314,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn service_at_least_matches_legacy_at_equal_threads() {
-        // The service skips one of the two RSA verifies per repeat-client
-        // job via the cert cache, so at equal thread count it must not be
-        // slower than the cache-less batch pipeline.
-        let report = run(64, 512, &[2], &[4]);
-        let legacy = report.legacy[0].ops_per_sec;
-        let service = report.service[0].ops_per_sec;
-        assert!(
-            service >= legacy,
-            "service {service:.0}/s < legacy {legacy:.0}/s"
-        );
-    }
-
-    #[test]
     fn single_client_workload_hits_the_cert_cache() {
         let report = run(32, 512, &[1], &[1]);
         // One client: first lookup misses, the remaining 31 hit.
@@ -389,7 +329,6 @@ mod tests {
         // `run` itself asserts all verdicts Ok and accepted == jobs for
         // each combination; this pins the row count.
         let report = run(16, 512, &[1, 2], &[1, 2]);
-        assert_eq!(report.legacy.len(), 2);
         assert_eq!(report.service.len(), 4);
     }
 

@@ -1,6 +1,8 @@
 //! E4 — server-side verification throughput and latency, measured for
 //! real on the host CPU (the one experiment whose numbers are not
-//! modeled: RSA verification is our actual code).
+//! modeled: RSA verification is our actual code). Each thread count
+//! drives the production `VerifierService` (one settlement shard, the
+//! AIK-certificate cache on) through register-then-settle.
 //!
 //! Regenerate: `cargo run -p utp-bench --bin e4_server_throughput`
 
@@ -17,7 +19,7 @@ use utp_crypto::rsa::RsaPublicKey;
 use utp_crypto::sha1::Sha1Digest;
 use utp_platform::machine::{Machine, MachineConfig};
 use utp_server::metrics::throughput;
-use utp_server::pipeline::{verify_batch_parallel, VerificationJob};
+use utp_server::service::{ServiceConfig, VerifierService};
 
 /// One thread-count measurement.
 #[derive(Debug, Clone)]
@@ -33,8 +35,7 @@ pub struct ThroughputRow {
 }
 
 /// A fixed server-side workload: one enrolled client, `n` genuine
-/// confirmations. E4 consumes the stateless jobs; E10 also needs the
-/// issued requests and raw evidence to drive the settling service path.
+/// confirmations, shared by E4 and E10.
 #[derive(Debug, Clone)]
 pub struct ServerWorld {
     /// The privacy CA's public key (pinned by the verifying side).
@@ -45,8 +46,6 @@ pub struct ServerWorld {
     pub requests: Vec<utp_core::protocol::TransactionRequest>,
     /// The client's evidence, positionally matching `requests`.
     pub evidence: Vec<utp_core::protocol::Evidence>,
-    /// Stateless verification jobs assembled from the same data.
-    pub jobs: Vec<VerificationJob>,
     /// Virtual time at which the requests were issued.
     pub now: Duration,
 }
@@ -69,7 +68,6 @@ pub fn build_world(n: usize, key_bits: usize) -> ServerWorld {
     let mut client = Client::new(ClientConfig::fast_for_tests(), enrollment);
     let mut requests = Vec::with_capacity(n);
     let mut all_evidence = Vec::with_capacity(n);
-    let mut jobs = Vec::with_capacity(n);
     for i in 0..n {
         let tx = Transaction::new(i as u64, "shop.example", 100, "EUR", "x");
         let request = verifier.issue_request(tx.clone(), machine.now());
@@ -77,11 +75,6 @@ pub fn build_world(n: usize, key_bits: usize) -> ServerWorld {
         let evidence = client
             .confirm(&mut machine, &request, &mut human)
             .expect("confirmation succeeds");
-        jobs.push(VerificationJob {
-            request_bytes: request.to_bytes(),
-            tx_digest: tx.digest(),
-            evidence: evidence.clone(),
-        });
         requests.push(request);
         all_evidence.push(evidence);
     }
@@ -92,36 +85,33 @@ pub fn build_world(n: usize, key_bits: usize) -> ServerWorld {
         pals,
         requests,
         evidence: all_evidence,
-        jobs,
         now: machine.now(),
     }
 }
 
-/// Builds `n` genuine evidence jobs once. Kept as E4's historical entry
-/// point; see [`build_world`] for the richer workload.
-pub fn build_jobs(
-    n: usize,
-    key_bits: usize,
-) -> (RsaPublicKey, HashSet<Sha1Digest>, Vec<VerificationJob>) {
-    let world = build_world(n, key_bits);
-    (world.ca_key, world.pals, world.jobs)
-}
-
-/// Measures throughput across thread counts.
+/// Measures throughput across thread counts. Nonces are consumed by
+/// settlement, so each thread count gets a fresh service with the same
+/// requests registered; only the settling batch is timed.
 pub fn run(jobs_n: usize, key_bits: usize, thread_counts: &[usize]) -> Vec<ThroughputRow> {
-    let (ca_key, pals, jobs) = build_jobs(jobs_n, key_bits);
+    let world = build_world(jobs_n, key_bits);
     thread_counts
         .iter()
         .map(|&threads| {
+            let mut config = ServiceConfig::new(threads, 1);
+            config.trusted_pals = world.pals.clone();
+            let service = VerifierService::start(world.ca_key.clone(), config);
+            for request in &world.requests {
+                service.register(request, world.now);
+            }
             let start = Instant::now();
-            let results = verify_batch_parallel(&ca_key, &pals, &jobs, threads);
+            let results = service.verify_evidence_batch(world.evidence.clone(), world.now);
             let elapsed = start.elapsed();
-            assert!(results.iter().all(|r| r.is_ok()), "all jobs genuine");
+            assert!(results.iter().all(|r| r.is_ok()), "all evidence genuine");
             ThroughputRow {
                 threads,
-                jobs: jobs.len(),
+                jobs: results.len(),
                 elapsed,
-                ops_per_sec: throughput(jobs.len(), elapsed),
+                ops_per_sec: throughput(results.len(), elapsed),
             }
         })
         .collect()

@@ -24,7 +24,7 @@
 use crate::ca::Enrollment;
 use crate::error::UtpError;
 use crate::protocol::{ConfirmMode, ConfirmationToken, TransactionRequest, Verdict};
-use crate::verifier::VerifyError;
+use crate::verifier::{check_quote_chain, VerifyError};
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 use utp_crypto::hmac::hmac_sha256;
@@ -460,14 +460,7 @@ impl AmortizedVerifier {
             .validate(&self.ca_key)
             .ok_or(VerifyError::BadCertificate)?;
         let io = utp_flicker::runtime::io_digest(setup_input, setup_output);
-        utp_flicker::attestation::check_attested_session(
-            &aik,
-            &nonce,
-            &self.trusted_pal,
-            &io,
-            quote,
-        )
-        .map_err(|_| VerifyError::UntrustedPal)?;
+        check_quote_chain(&aik, &nonce, std::iter::once(&self.trusted_pal), &io, quote)?;
         let key = self
             .server_keypair
             .decrypt_pkcs1(key_ct)
@@ -686,6 +679,47 @@ mod tests {
         let mut client = AmortizedClient::new(enrollment);
         let err = client.setup(&mut machine, &mut verifier).unwrap_err();
         assert!(err.to_string().contains("registration rejected"));
+        assert_eq!(verifier.clients(), 0);
+    }
+
+    #[test]
+    fn setup_quote_with_forged_signature_is_a_bad_quote() {
+        // The genuine PAL ran (PCR 17 matches), but one signature bit is
+        // flipped: that is a forged quote, not an untrusted PAL.
+        let ca = PrivacyCa::new(512, 770);
+        let mut verifier = AmortizedVerifier::new(ca.public_key().clone(), 512, 771);
+        let mut machine = Machine::new(MachineConfig::fast_for_tests(772));
+        let enrollment = ca.enroll(&mut machine);
+        let nonce = verifier.issue_setup_nonce();
+        let mut input = vec![INPUT_TAG_SETUP];
+        put_bytes(&mut input, &verifier.server_public().to_bytes());
+        let report = run_pal(
+            &mut machine,
+            &mut AmortizedPal::v1(),
+            &input,
+            &mut ScriptedOperator::silent(),
+            Some(AttestSpec {
+                aik_handle: enrollment.aik_handle,
+                nonce,
+                selection: PcrSelection::drtm_only(),
+            }),
+        )
+        .unwrap();
+        let mut r = Reader::new(&report.output);
+        let key_ct = r.bytes().unwrap().to_vec();
+        let mut quote = report.quote.clone().unwrap();
+        quote.signature[0] ^= 1;
+        let err = verifier
+            .register(
+                &input,
+                &report.output,
+                &key_ct,
+                &quote,
+                &enrollment.certificate.to_bytes(),
+                nonce,
+            )
+            .unwrap_err();
+        assert_eq!(err, VerifyError::BadQuote);
         assert_eq!(verifier.clients(), 0);
     }
 

@@ -14,7 +14,9 @@
 //! 4. the token's verdict is `Confirmed` (⇒ the human approved).
 
 use crate::ca::AikCertificate;
-use crate::protocol::{ConfirmMode, Evidence, Transaction, TransactionRequest, Verdict};
+use crate::protocol::{
+    ConfirmMode, ConfirmationToken, Evidence, Transaction, TransactionRequest, Verdict,
+};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::collections::{HashMap, HashSet};
@@ -269,9 +271,10 @@ impl NonceLedger {
     }
 }
 
-/// The stateless PCR-17/quote chain check shared by the serial verifier
-/// and the server-side pipelines: does any trusted PAL measurement,
-/// combined with this request/token I/O digest, explain the quote?
+/// The PCR-17/quote chain check behind every verifier in the workspace
+/// ([`check_evidence`], the batch and amortized-setup verifiers): does
+/// any trusted PAL measurement, combined with this I/O digest, explain
+/// the quote?
 ///
 /// # Errors
 ///
@@ -298,6 +301,34 @@ pub fn check_quote_chain<'a>(
     } else {
         VerifyError::UntrustedPal
     })
+}
+
+/// The stateless evidence check every base-protocol verifier runs between
+/// nonce preflight and settlement: the AIK certificate, the token's
+/// binding to the issued transaction, then the PCR-17/quote chain over
+/// `io_digest(request, token)`.
+///
+/// `resolve_aik` turns the certificate bytes into a validated AIK public
+/// key (`None` rejects the certificate); callers choose how — parse and
+/// validate every time, or serve repeat certificates from a cache.
+///
+/// # Errors
+///
+/// [`VerifyError::BadCertificate`], [`VerifyError::TokenMismatch`], or
+/// the [`check_quote_chain`] failure, first failure first.
+pub fn check_evidence<'a>(
+    token: &ConfirmationToken,
+    pending: &PendingNonce,
+    evidence: &Evidence,
+    trusted_pals: impl IntoIterator<Item = &'a Sha1Digest>,
+    resolve_aik: impl FnOnce(&[u8]) -> Option<RsaPublicKey>,
+) -> Result<(), VerifyError> {
+    let aik = resolve_aik(&evidence.aik_cert).ok_or(VerifyError::BadCertificate)?;
+    if token.tx_digest != pending.transaction.digest() {
+        return Err(VerifyError::TokenMismatch);
+    }
+    let io = io_digest(&pending.request_bytes, &evidence.token_bytes);
+    check_quote_chain(&aik, &token.nonce, trusted_pals, &io, &evidence.quote)
 }
 
 /// The provider-side verifier with nonce lifecycle management.
@@ -456,22 +487,13 @@ impl Verifier {
             Ok(p) => p,
             Err(e) => return Err(self.reject(e)),
         };
-        let Some(cert) = AikCertificate::from_bytes(&evidence.aik_cert) else {
-            return Err(self.reject(VerifyError::BadCertificate));
-        };
-        let Some(aik) = cert.validate(&self.ca_key) else {
-            return Err(self.reject(VerifyError::BadCertificate));
-        };
-        if token.tx_digest != pending.transaction.digest() {
-            return Err(self.reject(VerifyError::TokenMismatch));
-        }
-        let io = io_digest(&pending.request_bytes, &evidence.token_bytes);
-        if let Err(e) = check_quote_chain(
-            &aik,
-            &token.nonce,
+        let ca_key = &self.ca_key;
+        if let Err(e) = check_evidence(
+            &token,
+            &pending,
+            evidence,
             &self.config.trusted_pals,
-            &io,
-            &evidence.quote,
+            |cert| AikCertificate::from_bytes(cert)?.validate(ca_key),
         ) {
             return Err(self.reject(e));
         }

@@ -8,12 +8,12 @@
 //!   order → get a [`utp_core::protocol::TransactionRequest`]; submit
 //!   [`utp_core::protocol::Evidence`] → get a receipt or a typed
 //!   rejection;
-//! * [`pipeline`] — a multi-threaded verification pipeline (the paper's
-//!   scalability claim: quote verification is a cheap RSA verify, so one
-//!   commodity server sustains thousands of confirmations per second);
-//! * [`service`] — the persistent [`service::VerifierService`]: bounded
-//!   submission queues with backpressure, nonce settlement sharded by
-//!   nonce hash, and an LRU cache of validated AIK certificates;
+//! * [`service`] — the persistent [`service::VerifierService`]: worker
+//!   threads behind bounded submission queues with backpressure, nonce
+//!   settlement sharded by nonce hash, and an LRU cache of validated AIK
+//!   certificates (the paper's scalability claim: quote verification is
+//!   a cheap RSA verify, so one commodity server sustains thousands of
+//!   confirmations per second);
 //! * [`flow`] — end-to-end orchestration of one transaction across the
 //!   network model (used by the latency experiments and examples);
 //! * [`metrics`] — latency summaries (mean / percentiles) shared by the
@@ -25,7 +25,6 @@
 pub mod audit;
 pub mod flow;
 pub mod metrics;
-pub mod pipeline;
 pub mod provider;
 pub mod service;
 pub mod store;

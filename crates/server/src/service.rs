@@ -1,10 +1,10 @@
 //! The persistent, sharded verification service.
 //!
-//! [`crate::pipeline::verify_batch_parallel`] proved the paper's claim at
-//! batch scale but not at server scale: it spun up a fresh thread scope
-//! per batch, funneled every result through one mutex, and re-validated
-//! the same AIK certificate on every job. `VerifierService` is the
-//! long-lived shape of the same argument:
+//! The provider-side cost of the trusted path is one certificate check,
+//! two hashes and one RSA quote verify per transaction, all stateless
+//! ([`utp_core::verifier::check_evidence`]); only nonce settlement needs
+//! serialization. `VerifierService` is the long-lived server shape of
+//! that argument:
 //!
 //! * a pool of worker threads fed by a **bounded** submission queue —
 //!   a full queue blocks (or, via [`VerifierService::try_submit_evidence`],
@@ -28,7 +28,6 @@
 //!   happens while a shard or cache lock is held.
 
 use crate::metrics::{Counter, Gauge, HostStopwatch, ServiceStats, ShardCounters};
-use crate::pipeline::VerificationJob;
 use crossbeam::channel::{self, TrySendError};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
@@ -38,13 +37,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 use utp_core::ca::AikCertificate;
-use utp_core::protocol::{ConfirmationToken, Evidence, TransactionRequest, Verdict};
+use utp_core::protocol::{Evidence, TransactionRequest, Verdict};
 use utp_core::verifier::{
-    check_quote_chain, NonceLedger, PendingNonce, VerifiedTransaction, VerifierConfig, VerifyError,
+    check_evidence, NonceLedger, PendingNonce, VerifiedTransaction, VerifierConfig, VerifyError,
 };
 use utp_crypto::rsa::RsaPublicKey;
 use utp_crypto::sha1::{Sha1, Sha1Digest};
-use utp_flicker::runtime::io_digest;
 use utp_journal::{Journal, JournalRecord, NO_ORDER};
 use utp_netsim::{Admission, AdmissionConfig};
 use utp_trace::{keys, names, Recorder, Value};
@@ -341,32 +339,12 @@ impl Inner {
         &self.shards[index]
     }
 
-    /// The stateless cryptographic core, cache-accelerated. Mirrors
-    /// `Verifier::verify`'s check order exactly (certificate before token
-    /// binding before quote chain) so verdicts stay bit-identical to the
-    /// serial path.
-    fn check_crypto(
-        &self,
-        token: &ConfirmationToken,
-        expected_digest: &Sha1Digest,
-        request_bytes: &[u8],
-        evidence: &Evidence,
-    ) -> Result<(), VerifyError> {
-        let aik = self
-            .cache
-            .resolve(&evidence.aik_cert, &self.ca_key)
-            .ok_or(VerifyError::BadCertificate)?;
-        if token.tx_digest != *expected_digest {
-            return Err(VerifyError::TokenMismatch);
-        }
-        let io = io_digest(request_bytes, &evidence.token_bytes);
-        check_quote_chain(&aik, &token.nonce, &self.trusted_pals, &io, &evidence.quote)
-    }
-
     /// Full verification with nonce settlement: preflight the shard
-    /// (read-mostly), run the crypto without holding any lock, then
-    /// settle. A concurrent duplicate loses the settle race and reports
-    /// `Replayed`, exactly like a sequential replay.
+    /// (read-mostly), run [`check_evidence`] (the serial verifier's
+    /// check, with AIK certificates served from the cache) without
+    /// holding any lock, then settle. A concurrent duplicate loses the
+    /// settle race and reports `Replayed`, exactly like a sequential
+    /// replay.
     fn verify_settling(
         &self,
         evidence: &Evidence,
@@ -381,11 +359,10 @@ impl Inner {
             .lock()
             .preflight(&token.nonce, now)
             .inspect_err(|e| shard.cells.count(e))?;
-        let expected = pending.transaction.digest();
-        if let Err(e) = self.check_crypto(&token, &expected, &pending.request_bytes, evidence) {
-            shard.cells.count(&e);
-            return Err(e);
-        }
+        check_evidence(&token, &pending, evidence, &self.trusted_pals, |cert| {
+            self.cache.resolve(cert, &self.ca_key)
+        })
+        .inspect_err(|e| shard.cells.count(e))?;
         let pending = shard
             .ledger
             .lock()
@@ -405,20 +382,6 @@ impl Inner {
         })
     }
 
-    /// Stateless verification of a pre-assembled job (no nonce ledger):
-    /// the contract of the old one-shot batch pipeline.
-    fn verify_stateless(&self, job: &VerificationJob) -> Result<ConfirmationToken, VerifyError> {
-        let token = job
-            .evidence
-            .token()
-            .map_err(|_| VerifyError::MalformedEvidence)?;
-        self.check_crypto(&token, &job.tx_digest, &job.request_bytes, &job.evidence)?;
-        if token.verdict != Verdict::Confirmed {
-            return Err(VerifyError::NotConfirmed(token.verdict));
-        }
-        Ok(token)
-    }
-
     /// Runs one dequeued job on worker `worker`, emitting the volatile
     /// per-job flight record (queue wait, verify CPU, outcome) on the
     /// worker's sink. No lock is held at any emission point.
@@ -431,75 +394,54 @@ impl Inner {
             Duration::ZERO,
             &[(keys::DEPTH, Value::U64(self.queue_gauge.get()))],
         );
-        let seq = queued.seq;
-        let job_record = |ts: Duration, cpu: Duration, outcome: String| {
-            utp_trace::span_volatile(
-                names::SVC_JOB,
-                ts,
-                cpu,
-                &[
-                    (keys::SEQ, Value::U64(seq)),
-                    (keys::WORKER, Value::U64(worker as u64)),
-                    (keys::OUTCOME, Value::Str(outcome)),
-                    (keys::WAIT_HOST, Value::HostNs(wait.as_nanos() as u64)),
-                    (keys::VERIFY_HOST, Value::HostNs(cpu.as_nanos() as u64)),
-                ],
-            );
-        };
-        match queued.item {
-            WorkItem::Settle {
-                evidence,
-                now,
-                order,
-                reply,
-            } => {
-                let (outcome, cpu) =
-                    crate::metrics::host_timed(|| self.verify_settling(&evidence, now));
-                job_record(now, cpu, outcome_label(&outcome));
-                // WAL-before-ack: the decision must be durable before the
-                // ticket resolves. The nonce comes from the token; if the
-                // evidence didn't even parse, the decision is retryable
-                // and journaled under the zero nonce (no ledger effect on
-                // recovery).
-                if let Some(journal) = &self.journal {
-                    let nonce = evidence
-                        .token()
-                        .map(|t| *t.nonce.as_bytes())
-                        .unwrap_or([0u8; 20]);
-                    let receipt = journal.append_record(&JournalRecord::Settle {
-                        order_id: order,
-                        nonce,
-                        at: now,
-                        outcome: outcome.as_ref().map(|_| ()).map_err(|e| *e),
-                    });
-                    journal.sync_to(receipt.seq);
-                }
-                let _ = reply.send(outcome);
-            }
-            WorkItem::Stateless { job, reply } => {
-                let (outcome, cpu) = crate::metrics::host_timed(|| self.verify_stateless(&job));
-                job_record(Duration::ZERO, cpu, outcome_label(&outcome));
-                let _ = reply.send(outcome);
-            }
+        let WorkItem {
+            evidence,
+            now,
+            order,
+            reply,
+        } = queued.item;
+        let (outcome, cpu) = crate::metrics::host_timed(|| self.verify_settling(&evidence, now));
+        utp_trace::span_volatile(
+            names::SVC_JOB,
+            now,
+            cpu,
+            &[
+                (keys::SEQ, Value::U64(queued.seq)),
+                (keys::WORKER, Value::U64(worker as u64)),
+                (keys::OUTCOME, Value::Str(outcome_label(&outcome))),
+                (keys::WAIT_HOST, Value::HostNs(wait.as_nanos() as u64)),
+                (keys::VERIFY_HOST, Value::HostNs(cpu.as_nanos() as u64)),
+            ],
+        );
+        // WAL-before-ack: the decision must be durable before the ticket
+        // resolves. The nonce comes from the token; if the evidence didn't
+        // even parse, the decision is retryable and journaled under the
+        // zero nonce (no ledger effect on recovery).
+        if let Some(journal) = &self.journal {
+            let nonce = evidence
+                .token()
+                .map(|t| *t.nonce.as_bytes())
+                .unwrap_or([0u8; 20]);
+            let receipt = journal.append_record(&JournalRecord::Settle {
+                order_id: order,
+                nonce,
+                at: now,
+                outcome: outcome.as_ref().map(|_| ()).map_err(|e| *e),
+            });
+            journal.sync_to(receipt.seq);
         }
+        let _ = reply.send(outcome);
     }
 }
 
-/// One queued unit of work.
-enum WorkItem {
-    /// Settling verification of raw evidence against registered nonces.
-    Settle {
-        evidence: Evidence,
-        now: Duration,
-        /// Store order id the evidence settles, or [`NO_ORDER`].
-        order: u64,
-        reply: channel::Sender<Result<VerifiedTransaction, VerifyError>>,
-    },
-    /// Stateless verification of a pre-assembled job.
-    Stateless {
-        job: VerificationJob,
-        reply: channel::Sender<Result<ConfirmationToken, VerifyError>>,
-    },
+/// One queued unit of work: settling verification of raw evidence
+/// against registered nonces.
+struct WorkItem {
+    evidence: Evidence,
+    now: Duration,
+    /// Store order id the evidence settles, or [`NO_ORDER`].
+    order: u64,
+    reply: channel::Sender<Result<VerifiedTransaction, VerifyError>>,
 }
 
 /// A [`WorkItem`] with its flight-recording envelope: the submission
@@ -677,7 +619,7 @@ impl VerifierService {
         self.inner.queue_gauge.incr();
         queue
             .send(Queued {
-                item: WorkItem::Settle {
+                item: WorkItem {
                     evidence,
                     now,
                     order,
@@ -721,7 +663,7 @@ impl VerifierService {
         self.inner.queue_gauge.incr();
         queue
             .try_send(Queued {
-                item: WorkItem::Settle {
+                item: WorkItem {
                     evidence,
                     now,
                     order: NO_ORDER,
@@ -741,40 +683,6 @@ impl VerifierService {
                 }
             })?;
         utp_trace::event(names::SVC_SUBMIT, now, &[(keys::SEQ, Value::U64(seq))]);
-        Ok(Ticket { rx })
-    }
-
-    /// Submits a stateless verification job (no nonce settlement),
-    /// blocking while the queue is full.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::ShutDown`] once the service shut down.
-    pub fn submit_job(
-        &self,
-        job: VerificationJob,
-    ) -> Result<Ticket<ConfirmationToken>, SubmitError> {
-        let (reply, rx) = channel::bounded(1);
-        let queue = self.queue.as_ref().ok_or(SubmitError::ShutDown)?;
-        let seq = self.inner.submit_seq.next();
-        self.inner.queue_gauge.incr();
-        queue
-            .send(Queued {
-                item: WorkItem::Stateless { job, reply },
-                seq,
-                enqueued: HostStopwatch::start(),
-            })
-            .map_err(|_| {
-                self.inner.queue_gauge.decr();
-                SubmitError::ShutDown
-            })?;
-        // Stateless jobs carry no virtual clock; their submit events pin
-        // to t=0 and order by sequence number.
-        utp_trace::event(
-            names::SVC_SUBMIT,
-            Duration::ZERO,
-            &[(keys::SEQ, Value::U64(seq))],
-        );
         Ok(Ticket { rx })
     }
 
@@ -928,7 +836,11 @@ mod tests {
     fn accepts_genuine_evidence_on_every_shard() {
         let w = world(8, 1000);
         let svc = service(&w, 2, 4);
-        let verdicts = svc.verify_evidence_batch(w.evidence.clone(), w.now);
+        // Settle the first job alone so both workers cannot miss the
+        // cache concurrently on the same certificate.
+        let first = svc.submit_evidence(w.evidence[0].clone(), w.now).unwrap();
+        assert!(first.wait().is_ok());
+        let verdicts = svc.verify_evidence_batch(w.evidence[1..].to_vec(), w.now);
         assert!(verdicts.iter().all(|v| v.is_ok()), "{:?}", verdicts);
         let stats = svc.shutdown();
         assert_eq!(stats.totals().accepted, 8);

@@ -34,8 +34,8 @@ struct World {
 
 /// Builds a seeded batch mixing genuine evidence with every corruption
 /// class the verifier distinguishes: flipped quote signatures, mangled
-/// certificates, mangled token bytes, human rejections, unissued nonces,
-/// and expired nonces.
+/// certificates, mangled token bytes, human rejections, expired nonces,
+/// unissued nonces, and altered quoted PCR-17 values.
 fn build_world(n: usize, seed: u64) -> World {
     let mut rng = StdRng::seed_from_u64(seed);
     let ca = PrivacyCa::new(512, seed.wrapping_add(1));
@@ -48,7 +48,7 @@ fn build_world(n: usize, seed: u64) -> World {
     let mut requests = Vec::new();
     let mut evidence = Vec::new();
     for i in 0..n {
-        let kind = rng.gen_range(0..7u32);
+        let kind = rng.gen_range(0..8u32);
         let tx = Transaction::new(i as u64, "shop.example", 100 + i as u64, "EUR", "diff");
         // Kind 5 issues in the past so it is expired at submission time.
         let issued_at = if kind == 5 {
@@ -87,7 +87,13 @@ fn build_world(n: usize, seed: u64) -> World {
                 true
             }
             6 => false, // evidence for a nonce this provider never issued
-            _ => true,  // 0 genuine, 4 human-rejected, 5 expired
+            7 => {
+                // Quoted PCR-17 value altered: no trusted PAL explains it.
+                let pos = rng.gen_range(0..20usize);
+                ev.quote.pcr_values[0].0[pos] ^= 1 << rng.gen_range(0..8u32);
+                true
+            }
+            _ => true, // 0 genuine, 4 human-rejected, 5 expired
         };
         requests.push((request, issued_at, registered));
         evidence.push(ev);
@@ -138,9 +144,11 @@ fn service_verdicts(world: &World, threads: usize, shards: usize) -> Vec<Result<
 
 #[test]
 fn service_matches_serial_verifier_on_mixed_batches() {
+    let mut seen = Vec::new();
     for seed in [42u64, 1337] {
         let world = build_world(36, seed);
         let reference = serial_verdicts(&world);
+        seen.extend(reference.iter().filter_map(|r| r.err()));
         // The mix must actually exercise both paths.
         assert!(
             reference.iter().any(|r| r.is_ok()),
@@ -166,6 +174,15 @@ fn service_matches_serial_verifier_on_mixed_batches() {
                 );
             }
         }
+    }
+    // Every rejection `check_evidence` can return was compared.
+    for want in [
+        VerifyError::BadCertificate,
+        VerifyError::TokenMismatch,
+        VerifyError::UntrustedPal,
+        VerifyError::BadQuote,
+    ] {
+        assert!(seen.contains(&want), "no {want:?} in the mix");
     }
 }
 
