@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use utp_obs::json::escape_into;
+
 /// How serious a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
@@ -72,8 +74,7 @@ pub fn render_text(diags: &[Diagnostic]) -> String {
     out
 }
 
-/// Renders diagnostics as a JSON document (hand-rolled; the analyzer is
-/// dependency-light by design), in canonical order.
+/// Renders diagnostics as a JSON document, in canonical order.
 pub fn render_json(diags: &[Diagnostic]) -> String {
     let mut sorted = diags.to_vec();
     sort_canonical(&mut sorted);
@@ -83,14 +84,16 @@ pub fn render_json(diags: &[Diagnostic]) -> String {
         if i > 0 {
             out.push(',');
         }
+        out.push_str("\n    {\"file\": \"");
+        escape_into(&mut out, &d.file);
+        out.push_str(&format!("\", \"line\": {}, \"lint\": \"", d.line));
+        escape_into(&mut out, d.lint);
         out.push_str(&format!(
-            "\n    {{\"file\": \"{}\", \"line\": {}, \"lint\": \"{}\", \"severity\": \"{}\", \"message\": \"{}\"}}",
-            escape_json(&d.file),
-            d.line,
-            escape_json(d.lint),
-            d.severity,
-            escape_json(&d.message),
+            "\", \"severity\": \"{}\", \"message\": \"",
+            d.severity
         ));
+        escape_into(&mut out, &d.message);
+        out.push_str("\"}");
     }
     if !diags.is_empty() {
         out.push_str("\n  ");
@@ -103,22 +106,6 @@ pub fn render_json(diags: &[Diagnostic]) -> String {
         "],\n  \"deny_count\": {denies},\n  \"warn_count\": {}\n}}\n",
         diags.len() - denies
     ));
-    out
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
     out
 }
 

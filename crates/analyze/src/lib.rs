@@ -52,10 +52,10 @@
 //! set of waivers cannot silently rot.
 //!
 //! The analyzer is dependency-light on purpose: a hand-rolled lexer
-//! ([`lexer`]) rather than `syn`, hand-rolled JSON output, no regex. It
-//! runs in the test suite ([`analyze_workspace`] from
-//! `tests/static_analysis.rs` at the workspace root) so `cargo test`
-//! fails on any new deny-level finding.
+//! ([`lexer`]) rather than `syn`, no regex, and JSON read and escaped
+//! by the workspace's own `utp_obs::json`. It runs in the test suite
+//! ([`analyze_workspace`] from `tests/static_analysis.rs` at the
+//! workspace root) so `cargo test` fails on any new deny-level finding.
 
 #![forbid(unsafe_code)]
 

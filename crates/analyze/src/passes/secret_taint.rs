@@ -2,7 +2,8 @@
 //! sinks.
 //!
 //! Scope: non-test code in `crates/tpm`, `crates/crypto`, `crates/core`
-//! (the crates that handle seal/auth key material). Five rules:
+//! (the crates that handle seal/auth key material); rule 4 runs
+//! workspace-wide. Four rules:
 //!
 //! 1. **Debug derives.** A `#[derive(Debug)]` on a struct carrying
 //!    secret material is a deny unless every secret field's type has a
@@ -17,21 +18,15 @@
 //! 3. **Wire sinks.** `.to_bytes()`/`.write()`/`.serialize()` on a
 //!    tainted receiver outside the approved sealing boundary files is a
 //!    deny — private keys leave the TPM model only wrapped or sealed.
-//! 4. **Trace sinks.** A tainted identifier in the argument list of a
-//!    flight-recorder emission (`span`/`event`/`span_volatile`/
-//!    `event_volatile`) is a deny *workspace-wide*, not just in the key
-//!    crates: trace records are serialized verbatim into the JSONL
-//!    export, which is the least-guarded output the workspace has.
-//!    Idents immediately followed by `::` are path qualifiers (the
-//!    `utp_trace::keys::OP` key-name registry), not values, and are
-//!    skipped.
-//! 5. **Journal sinks.** A tainted identifier in the argument list of a
-//!    settlement-journal append (`.append_record()` /
-//!    `.install_snapshot()`) is a deny *workspace-wide*: WAL frames
-//!    land verbatim on the (simulated) disk, outliving the process and
-//!    any zeroization — durable state is the last place key material
-//!    may ever appear. Same `::` path-qualifier exemption as rule 4
-//!    (`JournalRecord::Settle` names a variant, not a value).
+//! 4. **Workspace-wide sinks.** A tainted identifier in the argument
+//!    list of a call named in the `SINK_FAMILIES` table — trace
+//!    emissions, journal appends, metrics/artifact emissions,
+//!    fleet-report tags — is a deny *workspace-wide*, not just in the
+//!    key crates: each family serializes its arguments verbatim into
+//!    an output that outlives the call (the JSONL export, the WAL, the
+//!    perf artifacts, the fleet digest). Idents immediately followed
+//!    by `::` are path qualifiers (`utp_trace::keys::OP`,
+//!    `JournalRecord::Settle`), not values, and are skipped.
 //!
 //! **Taint is flow-sensitive** (statement-level CFG + worklist, see
 //! `crate::cfg` / `crate::dataflow`): a binding or *reassignment* from
@@ -46,7 +41,7 @@
 //! marks the result public or one-way (`hash`/`hmac`/`digest`: MAC
 //! tags and digests authenticate data, they do not reveal it) — so
 //! `let sub = derive_subkey(seed)` taints `sub` two calls deep. The
-//! workspace-wide trace/journal rules keep an *empty* secret-returning
+//! workspace-wide sink rule keeps an *empty* secret-returning
 //! set: the name set blankets constructor names like `new`, tolerable
 //! inside the key crates but far too noisy workspace-wide.
 //!
@@ -108,37 +103,79 @@ const PRINT_MACROS: &[&str] = &["println", "print", "eprintln", "eprint", "dbg"]
 /// Wire-serialization method sinks.
 const WIRE_METHODS: &[&str] = &["to_bytes", "write", "serialize"];
 
-/// Flight-recorder emission sinks (`utp_trace::span(..)` and friends):
-/// field values land verbatim in the JSONL export.
-const TRACE_SINK_FNS: &[&str] = &["span", "event", "span_volatile", "event_volatile"];
+/// One workspace-wide sink family: calls whose arguments are serialized
+/// somewhere a secret must never land.
+struct SinkFamily {
+    /// Free-fn sink names (`span(..)`).
+    fns: &'static [&'static str],
+    /// Method sink names (`.append_record(..)`).
+    methods: &'static [&'static str],
+    /// Family label in diagnostics (`trace sink`).
+    label: &'static str,
+    /// Why the sink is dangerous and what to emit instead.
+    advice: &'static str,
+}
 
-/// Settlement-journal append sinks: the record payload is framed onto
-/// the WAL byte-for-byte and survives the process.
-const JOURNAL_SINK_METHODS: &[&str] = &["append_record", "install_snapshot"];
+impl SinkFamily {
+    fn matches(&self, c: &CallSite) -> bool {
+        let names = if c.is_method { self.methods } else { self.fns };
+        names.contains(&c.name.as_str())
+    }
+}
 
-/// Metrics/artifact emission sinks (`utp-obs`): registry registration
-/// carries label values and artifact pushes carry metric values, all of
-/// which are serialized verbatim into `BENCH_*.json` perf artifacts and
-/// the Prometheus-style exposition.
-const OBS_SINK_METHODS: &[&str] = &[
-    "counter",
-    "gauge",
-    "histogram",
-    "push_u64",
-    "push_f64",
-    "push_dist",
-    "push_hist",
+/// Rule 4's sink families, one row each, checked in this order. Adding
+/// a sink family is one row.
+const SINK_FAMILIES: &[SinkFamily] = &[
+    // Flight-recorder emissions (`utp_trace::span(..)` and friends):
+    // field values land verbatim in the JSONL export.
+    SinkFamily {
+        fns: &["span", "event", "span_volatile", "event_volatile"],
+        methods: &[],
+        label: "trace sink",
+        advice: "trace records are serialized into the JSONL export — record a digest, a \
+                 length, or nothing",
+    },
+    // Settlement-journal appends: the record payload is framed onto
+    // the WAL byte-for-byte and survives the process and any
+    // in-memory zeroization.
+    SinkFamily {
+        fns: &[],
+        methods: &["append_record", "install_snapshot"],
+        label: "journal sink",
+        advice: "WAL frames are durable and outlive zeroization — journal a digest, a \
+                 handle, or nothing",
+    },
+    // Metrics/artifact emissions (`utp-obs`): registration carries
+    // label values, artifact pushes carry metric values, and the
+    // exposition renderer writes all of them, verbatim, into
+    // `BENCH_*.json` and the Prometheus-style `.prom` text.
+    SinkFamily {
+        fns: &["render_exposition"],
+        methods: &[
+            "counter",
+            "gauge",
+            "histogram",
+            "push_u64",
+            "push_f64",
+            "push_dist",
+            "push_hist",
+        ],
+        label: "metrics sink",
+        advice: "metric names, labels, and values are serialized into perf artifacts and \
+                 the exposition text — export a digest, a count, or nothing",
+    },
+    // Fleet-simulation report sinks (`utp-netsim`): scenario run tags
+    // and report annotations are folded verbatim into the
+    // `FleetReport` digest — the byte-identity surface CI compares
+    // across runs — and exported into the `BENCH_E13.json` artifacts.
+    SinkFamily {
+        fns: &[],
+        methods: &["annotate", "tag_run"],
+        label: "fleet-report sink",
+        advice: "run tags and annotations are folded into the report digest and the E13 \
+                 perf artifacts — tag runs with public labels only",
+    },
 ];
-
-/// Free-fn metrics sinks: the exposition renderer writes every metric
-/// name, label, and value of its artifacts into the `.prom` text.
-const OBS_SINK_FNS: &[&str] = &["render_exposition"];
-
-/// Fleet-simulation report sinks (`utp-netsim`): scenario run tags and
-/// report annotations are folded verbatim into the `FleetReport`
-/// digest — the byte-identity surface CI compares across runs — and
-/// exported into the `BENCH_E13.json` perf artifacts.
-const FLEET_SINK_METHODS: &[&str] = &["annotate", "tag_run"];
 
 /// Files allowed to serialize key material (the sealing/wrapping
 /// boundary plus the key types' own codecs).
@@ -244,7 +281,7 @@ impl Pass for SecretTaint {
             secret_returning: &secret_returning,
             secret_structs: &secret_structs,
         };
-        // The workspace-wide trace/journal scans drop the name-seeded
+        // The workspace-wide sink scan drops the name-seeded
         // secret-returning set (see the module docs).
         let empty = BTreeSet::new();
         let scan_cx = TaintCtx {
@@ -261,10 +298,7 @@ impl Pass for SecretTaint {
                 let ft = fn_flow(file, ws.fn_item(idx), &cx);
                 check_fn_sinks(file, ws.fn_item(idx), &ft, fi, &mut out);
             }
-            check_trace_sinks(file, ws.fn_item(idx), &scan_cx, fi, &mut out);
-            check_journal_sinks(file, ws.fn_item(idx), &scan_cx, fi, &mut out);
-            check_obs_sinks(file, ws.fn_item(idx), &scan_cx, fi, &mut out);
-            check_fleet_sinks(file, ws.fn_item(idx), &scan_cx, fi, &mut out);
+            check_workspace_sinks(file, ws.fn_item(idx), &scan_cx, fi, &mut out);
         }
         out
     }
@@ -814,10 +848,10 @@ fn check_fn_sinks(
     }
 }
 
-/// Rule 4: tainted identifiers must not appear in the argument list of
-/// a flight-recorder emission. Runs workspace-wide — trace records are
-/// serialized into the JSONL export wherever they are emitted.
-fn check_trace_sinks(
+/// Rule 4: a tainted identifier must not appear in the argument list
+/// of any [`SINK_FAMILIES`] call. Runs workspace-wide — each
+/// family serializes its arguments wherever the call is made.
+fn check_workspace_sinks(
     file: &SourceFile,
     item: &FnItem,
     cx: &TaintCtx,
@@ -827,201 +861,38 @@ fn check_trace_sinks(
     if !item
         .calls
         .iter()
-        .any(|c| !c.is_method && TRACE_SINK_FNS.contains(&c.name.as_str()))
+        .any(|c| SINK_FAMILIES.iter().any(|f| f.matches(c)))
     {
         return;
     }
     let ft = fn_flow(file, item, cx);
-    for c in &item.calls {
-        if c.is_method || !TRACE_SINK_FNS.contains(&c.name.as_str()) {
-            continue;
-        }
-        let args = &file.tokens[c.args.0..c.args.1];
-        let hit = args.iter().enumerate().find_map(|(j, t)| {
-            if t.kind != TokenKind::Ident || !ft.tainted_at(&t.text, c.args.0 + j) {
-                return None;
+    for family in SINK_FAMILIES {
+        for c in item.calls.iter().filter(|c| family.matches(c)) {
+            let args = &file.tokens[c.args.0..c.args.1];
+            let hit = args.iter().enumerate().find_map(|(j, t)| {
+                if t.kind != TokenKind::Ident || !ft.tainted_at(&t.text, c.args.0 + j) {
+                    return None;
+                }
+                // Path qualifiers (`keys::OP`, `JournalRecord::Settle`)
+                // name a key, a record shape or a constant, not a value.
+                if args.get(j + 1).is_some_and(|n| n.is_punct("::")) {
+                    return None;
+                }
+                Some(t.text.clone())
+            });
+            if let Some(ident) = hit {
+                out.push((
+                    fi,
+                    Finding {
+                        line: c.line,
+                        severity: Severity::Deny,
+                        message: format!(
+                            "secret `{ident}` flows into {} `{}` in `{}`; {}",
+                            family.label, c.name, item.name, family.advice
+                        ),
+                    },
+                ));
             }
-            // `keys::OP`-style path qualifiers name record *keys*, not
-            // values; only the value position can carry the secret.
-            if args.get(j + 1).is_some_and(|n| n.is_punct("::")) {
-                return None;
-            }
-            Some(t.text.clone())
-        });
-        if let Some(ident) = hit {
-            out.push((
-                fi,
-                Finding {
-                    line: c.line,
-                    severity: Severity::Deny,
-                    message: format!(
-                        "secret `{ident}` flows into trace sink `{}` in `{}`; trace \
-                         records are serialized into the JSONL export — record a \
-                         digest, a length, or nothing",
-                        c.name, item.name
-                    ),
-                },
-            ));
-        }
-    }
-}
-
-/// Rule 5: tainted identifiers must not appear in the argument list of
-/// a settlement-journal append. Runs workspace-wide — the WAL is
-/// durable, so a leaked secret outlives the process and any in-memory
-/// zeroization.
-fn check_journal_sinks(
-    file: &SourceFile,
-    item: &FnItem,
-    cx: &TaintCtx,
-    fi: usize,
-    out: &mut Vec<(usize, Finding)>,
-) {
-    if !item
-        .calls
-        .iter()
-        .any(|c| c.is_method && JOURNAL_SINK_METHODS.contains(&c.name.as_str()))
-    {
-        return;
-    }
-    let ft = fn_flow(file, item, cx);
-    for c in &item.calls {
-        if !c.is_method || !JOURNAL_SINK_METHODS.contains(&c.name.as_str()) {
-            continue;
-        }
-        let args = &file.tokens[c.args.0..c.args.1];
-        let hit = args.iter().enumerate().find_map(|(j, t)| {
-            if t.kind != TokenKind::Ident || !ft.tainted_at(&t.text, c.args.0 + j) {
-                return None;
-            }
-            // `JournalRecord::Settle`-style path qualifiers name the
-            // record shape, not a value.
-            if args.get(j + 1).is_some_and(|n| n.is_punct("::")) {
-                return None;
-            }
-            Some(t.text.clone())
-        });
-        if let Some(ident) = hit {
-            out.push((
-                fi,
-                Finding {
-                    line: c.line,
-                    severity: Severity::Deny,
-                    message: format!(
-                        "secret `{ident}` flows into journal sink `{}` in `{}`; WAL \
-                         frames are durable and outlive zeroization — journal a \
-                         digest, a handle, or nothing",
-                        c.name, item.name
-                    ),
-                },
-            ));
-        }
-    }
-}
-
-/// Rule 6: tainted identifiers must not appear in the argument list of
-/// a metrics registration, artifact push, or exposition render. Runs
-/// workspace-wide — `utp-obs` serializes names, label values, and
-/// metric values verbatim into the checked-in `BENCH_*.json` artifacts
-/// and the Prometheus-style `.prom` text.
-fn check_obs_sinks(
-    file: &SourceFile,
-    item: &FnItem,
-    cx: &TaintCtx,
-    fi: usize,
-    out: &mut Vec<(usize, Finding)>,
-) {
-    let is_sink = |c: &CallSite| {
-        if c.is_method {
-            OBS_SINK_METHODS.contains(&c.name.as_str())
-        } else {
-            OBS_SINK_FNS.contains(&c.name.as_str())
-        }
-    };
-    if !item.calls.iter().any(is_sink) {
-        return;
-    }
-    let ft = fn_flow(file, item, cx);
-    for c in &item.calls {
-        if !is_sink(c) {
-            continue;
-        }
-        let args = &file.tokens[c.args.0..c.args.1];
-        let hit = args.iter().enumerate().find_map(|(j, t)| {
-            if t.kind != TokenKind::Ident || !ft.tainted_at(&t.text, c.args.0 + j) {
-                return None;
-            }
-            // `names::FOO`-style path qualifiers pick the metric name
-            // constant, not a value.
-            if args.get(j + 1).is_some_and(|n| n.is_punct("::")) {
-                return None;
-            }
-            Some(t.text.clone())
-        });
-        if let Some(ident) = hit {
-            out.push((
-                fi,
-                Finding {
-                    line: c.line,
-                    severity: Severity::Deny,
-                    message: format!(
-                        "secret `{ident}` flows into metrics sink `{}` in `{}`; metric \
-                         names, labels, and values are serialized into perf artifacts \
-                         and the exposition text — export a digest, a count, or nothing",
-                        c.name, item.name
-                    ),
-                },
-            ));
-        }
-    }
-}
-
-/// Rule 7: tainted identifiers must not appear in the argument list of
-/// a fleet-report sink. Runs workspace-wide — `Scenario::tag_run` and
-/// `FleetReport::annotate` fold their arguments verbatim into the
-/// report digest (compared byte-for-byte in CI logs) and the exported
-/// `BENCH_E13.json` artifacts.
-fn check_fleet_sinks(
-    file: &SourceFile,
-    item: &FnItem,
-    cx: &TaintCtx,
-    fi: usize,
-    out: &mut Vec<(usize, Finding)>,
-) {
-    let is_sink = |c: &CallSite| c.is_method && FLEET_SINK_METHODS.contains(&c.name.as_str());
-    if !item.calls.iter().any(is_sink) {
-        return;
-    }
-    let ft = fn_flow(file, item, cx);
-    for c in &item.calls {
-        if !is_sink(c) {
-            continue;
-        }
-        let args = &file.tokens[c.args.0..c.args.1];
-        let hit = args.iter().enumerate().find_map(|(j, t)| {
-            if t.kind != TokenKind::Ident || !ft.tainted_at(&t.text, c.args.0 + j) {
-                return None;
-            }
-            // Path-qualified segments pick a constant, not a value.
-            if args.get(j + 1).is_some_and(|n| n.is_punct("::")) {
-                return None;
-            }
-            Some(t.text.clone())
-        });
-        if let Some(ident) = hit {
-            out.push((
-                fi,
-                Finding {
-                    line: c.line,
-                    severity: Severity::Deny,
-                    message: format!(
-                        "secret `{ident}` flows into fleet-report sink `{}` in `{}`; \
-                         run tags and annotations are folded into the report digest \
-                         and the E13 perf artifacts — tag runs with public labels only",
-                        c.name, item.name
-                    ),
-                },
-            ));
         }
     }
 }

@@ -9,10 +9,10 @@
 //! trust expansion (break the call edge) or a missing allowlist entry
 //! (extend `declared_category` with a reviewed category).
 //!
-//! The flight recorder (`crates/trace`) gets an *explicit* gate on top
-//! of the allowlist: reachable trace code is denied unconditionally,
-//! with its own message, and declaring a category for `crates/trace`
-//! would not lift it. Trusted code exports data-only journals
+//! The flight recorder (`crates/trace`) gets an *explicit* gate (a
+//! `GATES` row) on top of the allowlist: reachable trace code is denied
+//! unconditionally, with its own message, and declaring a category for
+//! `crates/trace` would not lift it. Trusted code exports data-only journals
 //! (`TpmOpRecord`, `PhaseTimings`) that untrusted code turns into
 //! records — the recorder itself must never be PAL-reachable, or the
 //! measured TCB would silently absorb the whole observability stack.
@@ -28,6 +28,33 @@ use crate::diag::Severity;
 use crate::graph::WorkspaceIndex;
 use crate::passes::{Finding, Pass};
 use crate::report::declared_category;
+
+/// One explicitly gated subsystem: reachable code under `prefix` is a
+/// deny whatever `declared_category` says.
+struct Gate {
+    /// Path prefix of the gated crate.
+    prefix: &'static str,
+    /// What the crate is, in diagnostics (`the flight recorder`).
+    what: &'static str,
+    /// Why it must stay out of the PAL and what to do instead.
+    advice: &'static str,
+}
+
+/// The explicit gates, checked in this order (see the module docs).
+const GATES: &[Gate] = &[
+    Gate {
+        prefix: "crates/trace/src/",
+        what: "the flight recorder",
+        advice: "trace emission must stay out of the PAL — export a data-only journal from \
+                 trusted code and turn it into records outside the TCB",
+    },
+    Gate {
+        prefix: "crates/journal/src/",
+        what: "the settlement journal",
+        advice: "the TCB must never depend on disk — durability is the untrusted \
+                 provider's concern, the PAL only attests what the human confirmed",
+    },
+];
 
 /// The pass.
 pub struct TcbReachability;
@@ -49,58 +76,32 @@ impl Pass for TcbReachability {
             }
             let path = ws.fn_path(idx);
             let item = ws.fn_item(idx);
-            if path.starts_with("crates/trace/src/") {
-                out.push((
-                    ws.fns[idx].file,
-                    Finding {
-                        line: item.start_line,
-                        severity: Severity::Deny,
-                        message: format!(
-                            "`{}` in the flight recorder is reachable from the TCB \
-                             (chain: {}); trace emission must stay out of the PAL — \
-                             export a data-only journal from trusted code and turn it \
-                             into records outside the TCB",
-                            item.name,
-                            ws.chain_to(idx),
-                        ),
-                    },
-                ));
+            let message = if let Some(g) = GATES.iter().find(|g| path.starts_with(g.prefix)) {
+                format!(
+                    "`{}` in {} is reachable from the TCB (chain: {}); {}",
+                    item.name,
+                    g.what,
+                    ws.chain_to(idx),
+                    g.advice
+                )
+            } else if declared_category(path).is_some() {
                 continue;
-            }
-            if path.starts_with("crates/journal/src/") {
-                out.push((
-                    ws.fns[idx].file,
-                    Finding {
-                        line: item.start_line,
-                        severity: Severity::Deny,
-                        message: format!(
-                            "`{}` in the settlement journal is reachable from the TCB \
-                             (chain: {}); the TCB must never depend on disk — durability \
-                             is the untrusted provider's concern, the PAL only attests \
-                             what the human confirmed",
-                            item.name,
-                            ws.chain_to(idx),
-                        ),
-                    },
-                ));
-                continue;
-            }
-            if declared_category(path).is_some() {
-                continue;
-            }
+            } else {
+                format!(
+                    "`{}` is reachable from the TCB (chain: {}) but `{}` has no \
+                     declared TCB category; break the call edge or extend \
+                     report::declared_category with a reviewed entry",
+                    item.name,
+                    ws.chain_to(idx),
+                    path
+                )
+            };
             out.push((
                 ws.fns[idx].file,
                 Finding {
                     line: item.start_line,
                     severity: Severity::Deny,
-                    message: format!(
-                        "`{}` is reachable from the TCB (chain: {}) but `{}` has no \
-                         declared TCB category; break the call edge or extend \
-                         report::declared_category with a reviewed entry",
-                        item.name,
-                        ws.chain_to(idx),
-                        path
-                    ),
+                    message,
                 },
             ));
         }

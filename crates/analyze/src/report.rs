@@ -20,6 +20,8 @@
 
 use std::collections::BTreeMap;
 
+use utp_obs::json::Json;
+
 use crate::graph::WorkspaceIndex;
 
 /// Growth allowance (percent) before the baseline check fails.
@@ -250,11 +252,18 @@ impl DataflowReport {
 /// appeared. Shrinkage is always fine (tighten the baseline when it
 /// happens).
 pub fn check_baseline(current: &TcbReport, baseline_json: &str) -> Result<String, String> {
-    let base_fns = json_usize(baseline_json, "measured_functions")
-        .ok_or("baseline JSON lacks \"measured_functions\"")?;
-    let base_loc =
-        json_usize(baseline_json, "measured_loc").ok_or("baseline JSON lacks \"measured_loc\"")?;
-    let pct = json_usize(baseline_json, "max_growth_pct").unwrap_or(MAX_GROWTH_PCT);
+    let doc =
+        Json::parse(baseline_json).map_err(|e| format!("baseline JSON does not parse: {e}"))?;
+    let field = |key: &str| {
+        doc.get("tcb_report")
+            .and_then(|r| r.get(key))
+            .and_then(Json::as_u64)
+            .and_then(|n| usize::try_from(n).ok())
+    };
+    let base_fns =
+        field("measured_functions").ok_or("baseline JSON lacks \"measured_functions\"")?;
+    let base_loc = field("measured_loc").ok_or("baseline JSON lacks \"measured_loc\"")?;
+    let pct = field("max_growth_pct").unwrap_or(MAX_GROWTH_PCT);
     let limit_fns = base_fns + base_fns * pct / 100;
     let limit_loc = base_loc + base_loc * pct / 100;
     if current.undeclared_reachable > 0 {
@@ -276,16 +285,6 @@ pub fn check_baseline(current: &TcbReport, baseline_json: &str) -> Result<String
         "measured TCB {} fns / {} loc within +{pct}% of baseline {base_fns} fns / {base_loc} loc",
         current.measured.functions, current.measured.loc
     ))
-}
-
-/// Extracts `"key": <integer>` from a JSON text (keys in the report
-/// format are unique, so plain scanning suffices).
-fn json_usize(json: &str, key: &str) -> Option<usize> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
 }
 
 #[cfg(test)]
@@ -324,22 +323,28 @@ mod tests {
             },
             ..TcbReport::default()
         };
-        let baseline =
-            "{\"measured_functions\": 100, \"measured_loc\": 1000, \"max_growth_pct\": 10}";
-        assert!(check_baseline(&current, baseline).is_ok());
+        let baseline = TcbReport {
+            measured: Stats {
+                functions: 100,
+                loc: 1000,
+            },
+            ..TcbReport::default()
+        }
+        .to_json();
+        assert!(check_baseline(&current, &baseline).is_ok());
         current.measured.loc = 1101;
-        assert!(check_baseline(&current, baseline).is_err());
+        assert!(check_baseline(&current, &baseline).is_err());
         current.measured.loc = 1000;
         current.undeclared_reachable = 1;
-        assert!(check_baseline(&current, baseline).is_err());
+        assert!(check_baseline(&current, &baseline).is_err());
     }
 
     #[test]
-    fn json_parse_helper_reads_integers() {
-        assert_eq!(
-            json_usize("{\"measured_loc\": 42}", "measured_loc"),
-            Some(42)
-        );
-        assert_eq!(json_usize("{}", "measured_loc"), None);
+    fn baseline_check_rejects_a_truncated_file() {
+        let current = TcbReport::default();
+        let baseline = current.to_json();
+        assert!(check_baseline(&current, &baseline).is_ok());
+        let cut = baseline.find("\"undeclared_reachable\"").unwrap();
+        assert!(check_baseline(&current, &baseline[..cut]).is_err());
     }
 }

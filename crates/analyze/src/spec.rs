@@ -11,12 +11,13 @@
 //! workspace (a silent rename would otherwise blind the passes while
 //! they keep reporting clean).
 //!
-//! The JSON subset here is what the spec needs — objects, arrays,
-//! strings, integers — parsed by a tiny recursive-descent reader in the
-//! same no-dependency spirit as the rest of the crate.
+//! The file is read through `utp_obs::json`, the workspace's one JSON
+//! reader.
 
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
+
+use utp_obs::json::Json;
 
 use crate::graph::WorkspaceIndex;
 use crate::lexer::TokenKind;
@@ -178,15 +179,18 @@ pub fn embedded() -> &'static AuthzSpec {
 
 /// Parses a spec JSON text.
 pub fn parse(text: &str) -> Result<AuthzSpec, String> {
-    let json = JsonParser::new(text).parse_document()?;
-    let obj = json.as_obj().ok_or("spec root must be an object")?;
+    let json = Json::parse(text)?;
+    let obj = json.entries().ok_or("spec root must be an object")?;
     let mut spec = AuthzSpec {
-        version: get(obj, "version")?.as_int().ok_or("version: integer")?,
+        version: get(obj, "version")?
+            .as_num()
+            .and_then(|n| n.parse().ok())
+            .ok_or("version: integer")?,
         scope: str_list(get(obj, "scope")?, "scope")?,
         ..AuthzSpec::default()
     };
     for (i, s) in arr(get(obj, "sources")?, "sources")?.iter().enumerate() {
-        let o = s.as_obj().ok_or_else(|| format!("sources[{i}]: object"))?;
+        let o = s.entries().ok_or_else(|| format!("sources[{i}]: object"))?;
         spec.sources.push(SourceSpec {
             call: req_str(o, "call")?,
             recv: opt_str(o, "recv"),
@@ -194,14 +198,14 @@ pub fn parse(text: &str) -> Result<AuthzSpec, String> {
         });
     }
     for (i, g) in arr(get(obj, "guards")?, "guards")?.iter().enumerate() {
-        let o = g.as_obj().ok_or_else(|| format!("guards[{i}]: object"))?;
+        let o = g.entries().ok_or_else(|| format!("guards[{i}]: object"))?;
         spec.guards.push(GuardSpec {
             ident: req_str(o, "ident")?,
             grants: str_list(get(o, "grants")?, "grants")?,
         });
     }
     for (i, s) in arr(get(obj, "sinks")?, "sinks")?.iter().enumerate() {
-        let o = s.as_obj().ok_or_else(|| format!("sinks[{i}]: object"))?;
+        let o = s.entries().ok_or_else(|| format!("sinks[{i}]: object"))?;
         let kind = match req_str(o, "kind")?.as_str() {
             "call" => SinkKind::Call,
             "struct" => SinkKind::Struct,
@@ -221,7 +225,7 @@ pub fn parse(text: &str) -> Result<AuthzSpec, String> {
         });
     }
     for (i, r) in arr(get(obj, "order")?, "order")?.iter().enumerate() {
-        let o = r.as_obj().ok_or_else(|| format!("order[{i}]: object"))?;
+        let o = r.entries().ok_or_else(|| format!("order[{i}]: object"))?;
         spec.order.push(OrderRule {
             rule: req_str(o, "rule")?,
             before: req_str(o, "before")?,
@@ -374,51 +378,7 @@ fn render_count_map(out: &mut String, key: &str, map: &BTreeMap<String, usize>) 
 }
 
 // ---------------------------------------------------------------------
-// Minimal JSON reader.
-
-/// A parsed JSON value (the subset the spec uses).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// Object, insertion-ordered.
-    Obj(Vec<(String, Json)>),
-    /// Array.
-    Arr(Vec<Json>),
-    /// String.
-    Str(String),
-    /// Integer (the spec has no floats).
-    Int(i64),
-    /// Boolean.
-    Bool(bool),
-    /// Null.
-    Null,
-}
-
-impl Json {
-    fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(o) => Some(o),
-            _ => None,
-        }
-    }
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-    fn as_int(&self) -> Option<i64> {
-        match self {
-            Json::Int(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
+// Spec field accessors.
 
 fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
     obj.iter()
@@ -428,7 +388,7 @@ fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
 }
 
 fn arr<'a>(v: &'a Json, what: &str) -> Result<&'a [Json], String> {
-    v.as_arr().ok_or_else(|| format!("{what}: array"))
+    v.items().ok_or_else(|| format!("{what}: array"))
 }
 
 fn req_str(obj: &[(String, Json)], key: &str) -> Result<String, String> {
@@ -463,173 +423,6 @@ fn opt_list(obj: &[(String, Json)], key: &str) -> Result<Vec<String>, String> {
     }
 }
 
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn new(text: &'a str) -> JsonParser<'a> {
-        JsonParser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn parse_document(&mut self) -> Result<Json, String> {
-        let v = self.value()?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(format!("trailing content at byte {}", self.pos));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(format!("unexpected byte at {}", self.pos)),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| "utf8")?;
-        text.parse::<i64>()
-            .map(Json::Int)
-            .map_err(|_| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(&c @ (b'"' | b'\\' | b'/')) => out.push(c as char),
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(&c) => {
-                    // Multi-byte UTF-8 passes through verbatim.
-                    let len = match c {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let end = (self.pos + len).min(self.bytes.len());
-                    let s = std::str::from_utf8(&self.bytes[self.pos..end])
-                        .map_err(|_| "utf8 in string")?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
-                None => return Err("unterminated string".to_string()),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(out));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            let v = self.value()?;
-            out.push((key, v));
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(out));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(out));
-        }
-        loop {
-            out.push(self.value()?);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(out));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -659,11 +452,9 @@ mod tests {
 
     #[test]
     fn json_reader_handles_nesting_escapes_and_errors() {
-        let v = JsonParser::new("{\"a\": [1, -2], \"b\": {\"c\": \"x\\\"y\"}}")
-            .parse_document()
-            .unwrap();
-        let obj = v.as_obj().unwrap();
-        assert_eq!(get(obj, "a").unwrap().as_arr().unwrap().len(), 2);
+        let minimal = "{\"version\": 1, \"scope\": [], \"sources\": [], \"guards\": [], \
+                       \"sinks\": [], \"order\": [], \"note\": \"caf\\u00e9\\b\\f\"}";
+        assert_eq!(parse(minimal).map(|s| s.version), Ok(1));
         assert!(parse("{").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"version\": 1}").is_err(), "missing keys surface");

@@ -4,11 +4,12 @@
 //! Delivery is simulated end to end in one step: `send` walks the
 //! route, accumulates per-hop delay, rolls loss/partition fate per
 //! hop, and either schedules one delivery event on the caller's
-//! [`EventQueue`] or drops the frame. Accounting is split the way the
-//! flat [`Link`](crate::Link) model now splits it: a hop only counts
-//! toward `messages_carried`/`bytes_carried` once the frame is known
-//! to survive that hop; otherwise it lands in `messages_dropped`/
-//! `bytes_dropped` for the hop that killed it.
+//! [`EventQueue`] or drops the frame. Per-hop delay is
+//! [`LinkConfig::delay`](crate::LinkConfig::delay), the flat
+//! [`Link`](crate::Link) model's formula. Accounting is split: a hop
+//! only counts toward `messages_carried`/`bytes_carried` once the frame
+//! is known to survive that hop; otherwise it lands in
+//! `messages_dropped`/`bytes_dropped` for the hop that killed it.
 
 use crate::event::EventQueue;
 use crate::topology::{NodeId, Topology};
@@ -139,10 +140,9 @@ impl MessageBus {
             }
             self.stats[idx].messages_carried += 1;
             self.stats[idx].bytes_carried += u64::from(frame.bytes);
-            let propagation = profile.config.base_rtt / 2;
-            let jitter = profile.config.jitter.mul_f64(self.rng.gen::<f64>());
-            let serialization =
-                Duration::from_secs_f64(f64::from(frame.bytes) / profile.config.bandwidth as f64);
+            let delay = profile
+                .config
+                .delay(u64::from(frame.bytes), self.rng.gen::<f64>());
             let reorder = if profile.reorder_ppm > 0
                 && self.rng.gen_range(0..1_000_000_u32) < profile.reorder_ppm
             {
@@ -150,7 +150,7 @@ impl MessageBus {
             } else {
                 Duration::ZERO
             };
-            elapsed += propagation + jitter + serialization + reorder;
+            elapsed += delay + reorder;
         }
         Some(elapsed)
     }

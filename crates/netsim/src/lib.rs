@@ -105,48 +105,36 @@ impl LinkConfig {
             bandwidth,
         }
     }
+
+    /// One-way delay of a `bytes`-long message: propagation (half the
+    /// RTT) + jitter scaled by `draw` in `[0, 1)` + serialization. The
+    /// caller owns the RNG, and with it the draw order.
+    pub fn delay(&self, bytes: u64, draw: f64) -> Duration {
+        let propagation = self.base_rtt / 2;
+        let jitter = self.jitter.mul_f64(draw);
+        let serialization = Duration::from_secs_f64(bytes as f64 / self.bandwidth as f64);
+        propagation + jitter + serialization
+    }
 }
 
-/// The fate of one message offered to a [`Link`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Transmit {
-    /// The message survives and arrives after the carried delay.
-    Delivered(Duration),
-    /// The message was lost in flight.
-    Dropped,
-}
-
-/// A seeded link instance.
+/// A seeded, lossless link instance.
 #[derive(Debug, Clone)]
 pub struct Link {
     config: LinkConfig,
     rng: StdRng,
-    loss_ppm: u32,
     bytes_carried: u64,
     messages_carried: u64,
-    bytes_dropped: u64,
-    messages_dropped: u64,
 }
 
 impl Link {
-    /// Creates a lossless link with the given config and jitter seed.
+    /// Creates a link with the given config and jitter seed.
     pub fn new(config: LinkConfig, seed: u64) -> Self {
         Link {
             config,
             rng: StdRng::seed_from_u64(seed ^ 0x4e_4554_u64),
-            loss_ppm: 0,
             bytes_carried: 0,
             messages_carried: 0,
-            bytes_dropped: 0,
-            messages_dropped: 0,
         }
-    }
-
-    /// Sets a per-message loss probability (parts-per-million),
-    /// applied by [`Link::transmit`].
-    pub fn with_loss_ppm(mut self, ppm: u32) -> Self {
-        self.loss_ppm = ppm;
-        self
     }
 
     /// The configuration in use.
@@ -154,41 +142,10 @@ impl Link {
         &self.config
     }
 
-    /// The raw delay model: propagation + jitter + serialization.
-    /// Draws one jitter sample; does no accounting.
-    fn raw_delay(&mut self, payload_len: usize) -> Duration {
-        let propagation = self.config.base_rtt / 2;
-        let jitter = self.config.jitter.mul_f64(self.rng.gen::<f64>());
-        let serialization =
-            Duration::from_secs_f64(payload_len as f64 / self.config.bandwidth as f64);
-        propagation + jitter + serialization
-    }
-
-    /// Offers one message to the link and rolls its fate. Accounting
-    /// happens *after* survival is known: a delivered message counts
-    /// toward the carried totals, a lost one toward the dropped
-    /// totals — never both.
-    pub fn transmit(&mut self, payload_len: usize) -> Transmit {
-        let delay = self.raw_delay(payload_len);
-        let lost = self.loss_ppm > 0 && self.rng.gen_range(0..1_000_000_u32) < self.loss_ppm;
-        if lost {
-            self.messages_dropped += 1;
-            self.bytes_dropped += payload_len as u64;
-            return Transmit::Dropped;
-        }
-        self.messages_carried += 1;
-        self.bytes_carried += payload_len as u64;
-        Transmit::Delivered(delay)
-    }
-
     /// Time for one message of `payload_len` bytes to cross the link.
-    ///
-    /// This models a message that *does* arrive (loss is the business
-    /// of [`Link::transmit`] and the bus), so it counts toward the
-    /// carried totals — the accounting only happens once survival is
-    /// decided, which for this path is by definition.
+    /// Draws one jitter sample and counts the message as carried.
     pub fn one_way_delay(&mut self, payload_len: usize) -> Duration {
-        let delay = self.raw_delay(payload_len);
+        let delay = self.config.delay(payload_len as u64, self.rng.gen::<f64>());
         self.bytes_carried += payload_len as u64;
         self.messages_carried += 1;
         delay
@@ -207,16 +164,6 @@ impl Link {
     /// Total messages carried.
     pub fn messages_carried(&self) -> u64 {
         self.messages_carried
-    }
-
-    /// Total bytes lost in flight.
-    pub fn bytes_dropped(&self) -> u64 {
-        self.bytes_dropped
-    }
-
-    /// Total messages lost in flight.
-    pub fn messages_dropped(&self) -> u64 {
-        self.messages_dropped
     }
 }
 
@@ -287,39 +234,6 @@ mod tests {
         assert!(rt >= Duration::from_millis(40));
         assert_eq!(link.messages_carried(), 2);
         assert_eq!(link.bytes_carried(), 200);
-    }
-
-    #[test]
-    fn transmit_splits_carried_and_dropped_accounting() {
-        let mut link =
-            Link::new(LinkConfig::fixed_rtt(Duration::from_millis(10)), 5).with_loss_ppm(500_000);
-        let mut delivered = 0_u64;
-        let mut dropped = 0_u64;
-        for _ in 0..200 {
-            match link.transmit(100) {
-                Transmit::Delivered(d) => {
-                    assert!(d >= Duration::from_millis(5));
-                    delivered += 1;
-                }
-                Transmit::Dropped => dropped += 1,
-            }
-        }
-        assert!(delivered > 0 && dropped > 0, "50% loss splits both ways");
-        assert_eq!(link.messages_carried(), delivered);
-        assert_eq!(link.messages_dropped(), dropped);
-        assert_eq!(link.bytes_carried(), delivered * 100);
-        assert_eq!(link.bytes_dropped(), dropped * 100);
-    }
-
-    #[test]
-    fn lossless_transmit_never_drops_and_matches_one_way_counters() {
-        let mut link = Link::new(LinkConfig::broadband(), 2);
-        for _ in 0..50 {
-            assert!(matches!(link.transmit(64), Transmit::Delivered(_)));
-        }
-        assert_eq!(link.messages_carried(), 50);
-        assert_eq!(link.messages_dropped(), 0);
-        assert_eq!(link.bytes_dropped(), 0);
     }
 
     #[test]

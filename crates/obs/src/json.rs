@@ -1,10 +1,13 @@
-//! A minimal hand-rolled JSON reader/writer for the artifact and
-//! baseline files (the build environment has no serde).
+//! The workspace's JSON reader, hand-rolled (the build environment has
+//! no serde): perf artifacts and baselines here, and the analyzer's
+//! authorization spec and TCB baseline.
 //!
 //! Numbers keep their *raw text* so that writing a parsed document
 //! back produces the same bytes: `u64` values round-trip exactly
 //! (no `f64` precision loss) and `f64` values round-trip through
 //! Rust's shortest-representation formatting.
+
+pub use utp_trace::record::escape_into;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -261,23 +264,6 @@ impl Parser<'_> {
                 }
                 _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
             }
-        }
-    }
-}
-
-/// Appends `s` as JSON string *content* (no surrounding quotes),
-/// escaping exactly like the trace exporter so shared tooling sees one
-/// convention.
-pub fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
         }
     }
 }

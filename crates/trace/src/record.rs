@@ -243,8 +243,10 @@ fn render_value(out: &mut String, v: &Value) {
     }
 }
 
-/// Minimal JSON string escaping (quote, backslash, control chars).
-fn escape_into(out: &mut String, s: &str) {
+/// Appends `s` as JSON string *content* (no surrounding quotes),
+/// escaping quote, backslash and control characters. The workspace's
+/// one JSON string escaper (`utp_obs::json` re-exports it).
+pub fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
