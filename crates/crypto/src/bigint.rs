@@ -5,6 +5,13 @@
 //! exponentiation, modular inverse, gcd, shifts, byte conversion and random
 //! sampling. The representation invariant is *no trailing zero limbs* (zero
 //! is the empty limb vector).
+//!
+//! Every modular exponentiation — [`BigUint::mod_pow`], RSA sign, verify
+//! and decrypt, and the Miller–Rabin witnesses — runs through one
+//! Montgomery context (`Montgomery`): a fixed-width, division-free,
+//! allocation-free CIOS multiply under a square-and-multiply loop for
+//! short (public) exponents and, for long ones, a 4-bit window whose
+//! multiplies and table reads do not depend on the exponent's digits.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -280,8 +287,10 @@ impl BigUint {
     ///
     /// Single-limb divisors use schoolbook short division; multi-limb
     /// divisors use Knuth's Algorithm D (TAOCP vol. 2, 4.3.1) on 64-bit
-    /// limbs, which keeps RSA's modular reductions allocation-free per
-    /// quotient digit.
+    /// limbs. Exponentiation never divides (see `Montgomery`); division
+    /// remains for key generation (`d`, `dp`, `dq`, [`BigUint::mod_inverse`]),
+    /// CRT input reduction and recombination, the `R² mod n` set-up and
+    /// trial division.
     ///
     /// # Panics
     ///
@@ -388,50 +397,26 @@ impl BigUint {
         self.mul(other).rem(m)
     }
 
-    /// Modular exponentiation `self^exp mod m` via 4-bit fixed windows.
+    /// Modular exponentiation `self^exp mod m` in Montgomery arithmetic.
+    ///
+    /// Exponents of at most 64 bits (RSA's public `e`) take plain
+    /// square-and-multiply; longer ones take a 4-bit fixed window that
+    /// multiplies on every window and reads its table by a masked scan,
+    /// so a secret exponent sets neither the multiply count nor the
+    /// addresses read.
     ///
     /// # Panics
     ///
-    /// Panics if `m` is zero.
+    /// Panics if `m` is zero or even.
     pub fn mod_pow(&self, exp: &BigUint, m: &BigUint) -> BigUint {
-        assert!(!m.is_zero(), "modulus must be nonzero");
-        if m.is_one() {
-            return BigUint::zero();
-        }
-        if exp.is_zero() {
-            return BigUint::one();
-        }
-        let base = self.rem(m);
-        // Precompute base^0..base^15.
-        let mut table = Vec::with_capacity(16);
-        table.push(BigUint::one());
-        table.push(base.clone());
-        for i in 2..16 {
-            let next = table[i - 1].mod_mul(&base, m);
-            table.push(next);
-        }
-        let nbits = exp.bit_len();
-        let nwindows = nbits.div_ceil(4);
-        let mut acc = BigUint::one();
-        for w in (0..nwindows).rev() {
-            if w != nwindows - 1 {
-                for _ in 0..4 {
-                    acc = acc.mod_mul(&acc, m);
-                }
-            }
-            let mut idx = 0usize;
-            for b in 0..4 {
-                let bit = w * 4 + (3 - b);
-                idx <<= 1;
-                if exp.bit(bit) {
-                    idx |= 1;
-                }
-            }
-            if idx != 0 {
-                acc = acc.mod_mul(&table[idx], m);
-            }
-        }
-        acc
+        Montgomery::new(m).pow(self, exp)
+    }
+
+    /// The limbs zero-extended to exactly `len` (`len` ≥ the limb count).
+    fn limbs_padded(&self, len: usize) -> Vec<u64> {
+        let mut limbs = self.limbs.clone();
+        limbs.resize(len, 0);
+        limbs
     }
 
     /// Greatest common divisor (binary GCD).
@@ -547,6 +532,221 @@ impl BigUint {
     }
 }
 
+/// Montgomery arithmetic modulo a fixed odd `n` of `L` limbs, with
+/// `R = 2^(64·L)` (Montgomery, *Modular multiplication without trial
+/// division*, Math. Comp. 1985).
+///
+/// A value `x` in Montgomery form is `x·R mod n`, held in exactly `L`
+/// limbs. [`Montgomery::mul`] is the CIOS loop of Koç, Acar and Kaliski
+/// (IEEE Micro 1996): it interleaves the product with the reduction one
+/// limb at a time, never divides, allocates nothing and ends in a masked
+/// final subtraction.
+///
+/// For the CRT primes of an RSA key the modulus is secret, so the
+/// context deliberately has no `Debug`.
+#[derive(Clone)]
+pub(crate) struct Montgomery {
+    /// The modulus, exactly `L` limbs.
+    n: BigUint,
+    /// `n′ = −n⁻¹ mod 2⁶⁴`.
+    n_prime: u64,
+    /// `R² mod n`, `L` limbs: one multiply by it enters Montgomery form.
+    rr: Vec<u64>,
+}
+
+impl Montgomery {
+    /// The context for modulus `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero or even.
+    pub(crate) fn new(n: &BigUint) -> Self {
+        assert!(!n.is_zero(), "modulus must be nonzero");
+        assert!(!n.is_even(), "modulus must be odd");
+        let len = n.limbs.len();
+        // Each Newton step doubles the correct low bits of n⁻¹ mod 2⁶⁴;
+        // an odd n is its own inverse mod 8, so n starts with three.
+        let n0 = n.limbs[0];
+        let mut inv = n0;
+        for _ in 0..5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(n0.wrapping_mul(inv)));
+        }
+        let rr = BigUint::one().shl(128 * len).rem(n).limbs_padded(len);
+        Montgomery {
+            n: n.clone(),
+            n_prime: inv.wrapping_neg(),
+            rr,
+        }
+    }
+
+    /// The modulus.
+    pub(crate) fn modulus(&self) -> &BigUint {
+        &self.n
+    }
+
+    /// The limb count `L` of every Montgomery-form value.
+    pub(crate) fn len(&self) -> usize {
+        self.n.limbs.len()
+    }
+
+    /// `out = a·b·R⁻¹ mod n`, fully reduced.
+    ///
+    /// `a`, `b` and `out` have `L` limbs and `scratch` at least `L + 2`;
+    /// `a < R` and `b < n`, which every Montgomery-form value satisfies.
+    pub(crate) fn mul(&self, a: &[u64], b: &[u64], out: &mut [u64], scratch: &mut [u64]) {
+        #[cfg(test)]
+        tests::count_mul();
+        let len = self.len();
+        let n = &self.n.limbs[..len];
+        let t = &mut scratch[..len + 2];
+        t.fill(0);
+        for &bi in &b[..len] {
+            // t += a·bi
+            let mut carry = 0u64;
+            for (tj, &aj) in t.iter_mut().zip(&a[..len]) {
+                let v = *tj as u128 + aj as u128 * bi as u128 + carry as u128;
+                *tj = v as u64;
+                carry = (v >> 64) as u64;
+            }
+            let v = t[len] as u128 + carry as u128;
+            t[len] = v as u64;
+            t[len + 1] = (v >> 64) as u64;
+            // t = (t + m·n) / 2⁶⁴, where m makes the low limb vanish.
+            let m = t[0].wrapping_mul(self.n_prime);
+            let mut carry = ((t[0] as u128 + m as u128 * n[0] as u128) >> 64) as u64;
+            for (j, &nj) in n.iter().enumerate().skip(1) {
+                let v = t[j] as u128 + m as u128 * nj as u128 + carry as u128;
+                t[j - 1] = v as u64;
+                carry = (v >> 64) as u64;
+            }
+            let v = t[len] as u128 + carry as u128;
+            t[len - 1] = v as u64;
+            t[len] = t[len + 1] + (v >> 64) as u64;
+        }
+        // Now t < 2n, so t[len] is 0 or 1. Compute t − n and keep it when
+        // t ≥ n — when t[len] is set or the low limbs did not borrow —
+        // under a mask rather than a branch.
+        let mut borrow = 0u64;
+        for ((o, &tj), &nj) in out.iter_mut().zip(t.iter()).zip(n) {
+            let (d1, b1) = tj.overflowing_sub(nj);
+            let (d2, b2) = d1.overflowing_sub(borrow);
+            *o = d2;
+            borrow = (b1 | b2) as u64;
+        }
+        let keep_diff = (t[len] | (borrow ^ 1)).wrapping_neg();
+        for (o, &tj) in out.iter_mut().zip(t.iter()) {
+            *o = (*o & keep_diff) | (tj & !keep_diff);
+        }
+    }
+
+    /// `x` in Montgomery form; `x` may be any size.
+    pub(crate) fn to_mont(&self, x: &BigUint) -> Vec<u64> {
+        let len = self.len();
+        let x = if x.limbs.len() > len {
+            x.rem(&self.n).limbs_padded(len)
+        } else {
+            x.limbs_padded(len)
+        };
+        let mut out = vec![0u64; len];
+        self.mul(&x, &self.rr, &mut out, &mut vec![0u64; len + 2]);
+        out
+    }
+
+    /// Montgomery reduction (REDC): the value whose Montgomery form is `x`.
+    pub(crate) fn redc(&self, x: &[u64]) -> BigUint {
+        let len = self.len();
+        let mut out = vec![0u64; len];
+        self.mul(
+            x,
+            &BigUint::one().limbs_padded(len),
+            &mut out,
+            &mut vec![0u64; len + 2],
+        );
+        let mut v = BigUint { limbs: out };
+        v.normalize();
+        v
+    }
+
+    /// `base^exp mod n`.
+    pub(crate) fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+        self.redc(&self.pow_mont(base, exp))
+    }
+
+    /// `base^exp mod n`, left in Montgomery form.
+    pub(crate) fn pow_mont(&self, base: &BigUint, exp: &BigUint) -> Vec<u64> {
+        let bits = exp.bit_len();
+        if bits == 0 {
+            return self.to_mont(&BigUint::one());
+        }
+        let len = self.len();
+        let base = self.to_mont(base);
+        let mut acc = base.clone();
+        let mut tmp = vec![0u64; len];
+        let mut scratch = vec![0u64; len + 2];
+        if bits <= 64 {
+            // Short exponents are public in every caller (RSA's e): plain
+            // left-to-right square-and-multiply, 16 squarings and one
+            // multiply for e = 65537.
+            for i in (0..bits - 1).rev() {
+                self.mul(&acc, &acc, &mut tmp, &mut scratch);
+                std::mem::swap(&mut acc, &mut tmp);
+                if exp.bit(i) {
+                    self.mul(&acc, &base, &mut tmp, &mut scratch);
+                    std::mem::swap(&mut acc, &mut tmp);
+                }
+            }
+            return acc;
+        }
+        // Long (secret) exponents: 4-bit fixed windows over a table of
+        // base^0..base^15. Every window multiplies, table[0] being one,
+        // and reads its entry by a masked scan of all sixteen.
+        let mut table = vec![0u64; 16 * len];
+        table[..len].copy_from_slice(&self.to_mont(&BigUint::one()));
+        table[len..2 * len].copy_from_slice(&base);
+        for i in 2..16 {
+            let (done, rest) = table.split_at_mut(i * len);
+            self.mul(
+                &done[(i - 1) * len..],
+                &base,
+                &mut rest[..len],
+                &mut scratch,
+            );
+        }
+        let mut entry = vec![0u64; len];
+        let windows = bits.div_ceil(4);
+        for w in (0..windows).rev() {
+            let window = ((exp.limbs[w / 16] >> (4 * (w % 16))) & 0xF) as usize;
+            select_entry(&table, window, &mut entry);
+            if w + 1 == windows {
+                acc.copy_from_slice(&entry);
+                continue;
+            }
+            for _ in 0..4 {
+                self.mul(&acc, &acc, &mut tmp, &mut scratch);
+                std::mem::swap(&mut acc, &mut tmp);
+            }
+            self.mul(&acc, &entry, &mut tmp, &mut scratch);
+            std::mem::swap(&mut acc, &mut tmp);
+        }
+        acc
+    }
+}
+
+/// Copies entry `window` of a table of `out.len()`-limb entries into
+/// `out`, reading every entry and keeping one under a mask, so the
+/// memory touched does not depend on `window`.
+fn select_entry(table: &[u64], window: usize, out: &mut [u64]) {
+    out.fill(0);
+    for (i, entry) in table.chunks_exact(out.len()).enumerate() {
+        let diff = (i ^ window) as u64;
+        // All ones when diff is zero, else zero.
+        let mask = ((diff | diff.wrapping_neg()) >> 63).wrapping_sub(1);
+        for (o, &v) in out.iter_mut().zip(entry) {
+            *o |= v & mask;
+        }
+    }
+}
+
 /// Signed subtraction on (magnitude, is_negative) pairs: `a - b`.
 fn signed_sub(a: &(BigUint, bool), b: &(BigUint, bool)) -> (BigUint, bool) {
     match (a.1, b.1) {
@@ -654,7 +854,7 @@ impl From<u64> for BigUint {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn big(v: u64) -> BigUint {
         BigUint::from_u64(v)
@@ -749,12 +949,227 @@ mod tests {
 
     #[test]
     fn mod_pow_small_cases() {
-        // 3^7 mod 10 = 2187 mod 10 = 7
-        assert_eq!(big(3).mod_pow(&big(7), &big(10)), big(7));
+        // 3^7 mod 11 = 2187 mod 11 = 9
+        assert_eq!(big(3).mod_pow(&big(7), &big(11)), big(9));
         // x^0 = 1
-        assert_eq!(big(99).mod_pow(&BigUint::zero(), &big(1000)), big(1));
+        assert_eq!(big(99).mod_pow(&BigUint::zero(), &big(1001)), big(1));
         // mod 1 → 0
         assert_eq!(big(5).mod_pow(&big(3), &BigUint::one()), BigUint::zero());
+        assert_eq!(
+            big(5).mod_pow(&BigUint::zero(), &BigUint::one()),
+            BigUint::zero()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "modulus must be odd")]
+    fn mod_pow_even_modulus_panics() {
+        let _ = big(3).mod_pow(&big(7), &big(10));
+    }
+
+    #[test]
+    #[should_panic(expected = "modulus must be nonzero")]
+    fn mod_pow_zero_modulus_panics() {
+        let _ = big(3).mod_pow(&big(7), &BigUint::zero());
+    }
+
+    thread_local! {
+        static MULS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Called by every [`Montgomery::mul`] in test builds.
+    pub(super) fn count_mul() {
+        MULS.with(|c| c.set(c.get() + 1));
+    }
+
+    /// Montgomery multiplies this thread has run so far.
+    fn muls() -> u64 {
+        MULS.with(|c| c.get())
+    }
+
+    /// The `mul` + Knuth-D `rem` exponentiation `mod_pow` ran before
+    /// Montgomery, kept as the reference for the differential tests.
+    fn mod_pow_oracle(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
+        assert!(!m.is_zero(), "modulus must be nonzero");
+        if m.is_one() {
+            return BigUint::zero();
+        }
+        if exp.is_zero() {
+            return BigUint::one();
+        }
+        let base = base.rem(m);
+        let mut table = Vec::with_capacity(16);
+        table.push(BigUint::one());
+        table.push(base.clone());
+        for i in 2..16 {
+            let next = table[i - 1].mod_mul(&base, m);
+            table.push(next);
+        }
+        let nbits = exp.bit_len();
+        let nwindows = nbits.div_ceil(4);
+        let mut acc = BigUint::one();
+        for w in (0..nwindows).rev() {
+            if w != nwindows - 1 {
+                for _ in 0..4 {
+                    acc = acc.mod_mul(&acc, m);
+                }
+            }
+            let mut idx = 0usize;
+            for b in 0..4 {
+                let bit = w * 4 + (3 - b);
+                idx <<= 1;
+                if exp.bit(bit) {
+                    idx |= 1;
+                }
+            }
+            if idx != 0 {
+                acc = acc.mod_mul(&table[idx], m);
+            }
+        }
+        acc
+    }
+
+    /// A random odd modulus of exactly `limbs` limbs.
+    fn odd_modulus(rng: &mut StdRng, limbs: usize) -> BigUint {
+        BigUint::random_odd_with_bits(rng, 64 * limbs)
+    }
+
+    #[test]
+    fn montgomery_constants_at_one_and_thirty_two_limbs() {
+        let mut rng = StdRng::seed_from_u64(21);
+        let moduli = [
+            big(1_000_000_007),
+            big(u64::MAX),
+            BigUint::one(),
+            odd_modulus(&mut rng, 32),
+            BigUint::one().shl(64 * 32).sub(&BigUint::one()),
+        ];
+        for n in &moduli {
+            let ctx = Montgomery::new(n);
+            let len = n.limbs.len();
+            assert_eq!(ctx.len(), len);
+            // n·n′ ≡ −1 (mod 2⁶⁴)
+            assert_eq!(n.limbs[0].wrapping_mul(ctx.n_prime), u64::MAX, "{n:?}");
+            // R² mod n by 128·L modular doublings, without division.
+            let mut rr = BigUint::one().rem(n);
+            for _ in 0..128 * len {
+                rr = rr.mod_add(&rr, n);
+            }
+            assert_eq!(ctx.rr, rr.limbs_padded(len), "{n:?}");
+        }
+    }
+
+    #[test]
+    fn mod_pow_matches_oracle_on_edge_operands() {
+        let mut rng = StdRng::seed_from_u64(22);
+        let one = BigUint::one();
+        let mut moduli = vec![
+            big(3),
+            big(1_000_000_007),
+            one.shl(61).sub(&one),
+            one.shl(127).sub(&one),
+        ];
+        for limbs in [1usize, 2, 3, 8, 16, 32] {
+            moduli.push(odd_modulus(&mut rng, limbs));
+            moduli.push(one.shl(64 * limbs).sub(&one));
+        }
+        for n in &moduli {
+            let full = BigUint::random_below(&mut rng, n);
+            let bases = [
+                BigUint::zero(),
+                one.clone(),
+                n.sub(&one),
+                n.clone(),
+                n.add(&big(5)),
+                n.mul(n).add(&big(3)),
+                full.clone(),
+            ];
+            let exps = [
+                BigUint::zero(),
+                one.clone(),
+                big(2),
+                big(65537),
+                big(u64::MAX),
+                one.shl(64),
+                n.sub(&one),
+                one.shl(64 * n.limbs.len()).sub(&one),
+                full,
+            ];
+            for base in &bases {
+                for exp in &exps {
+                    assert_eq!(
+                        base.mod_pow(exp, n),
+                        mod_pow_oracle(base, exp, n),
+                        "{base:?}^{exp:?} mod {n:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A random value of `0..max_limbs` random limbs (so any size from
+    /// zero up, including values above a modulus of fewer limbs).
+    fn random_limbs(rng: &mut StdRng, max_limbs: usize) -> BigUint {
+        let count = rng.gen_range(0..max_limbs);
+        let mut v = BigUint {
+            limbs: (0..count).map(|_| rng.gen()).collect(),
+        };
+        v.normalize();
+        v
+    }
+
+    #[test]
+    fn mod_pow_matches_oracle_on_random_operands() {
+        let mut rng = StdRng::seed_from_u64(25);
+        for case in 0..160 {
+            // Every limb count from 1 to 32 five times, at a random width.
+            let len = 1 + case % 32;
+            let bits = rng.gen_range(64 * (len - 1) + 2..=64 * len);
+            let n = BigUint::random_odd_with_bits(&mut rng, bits);
+            let base = random_limbs(&mut rng, 34);
+            let exp = random_limbs(&mut rng, 33);
+            assert_eq!(
+                base.mod_pow(&exp, &n),
+                mod_pow_oracle(&base, &exp, &n),
+                "case {case}: {base:?}^{exp:?} mod {n:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn window_multiply_count_is_independent_of_the_exponent_digits() {
+        // Equal bit length, very different zero-window counts: the old
+        // loop skipped the table multiply on every zero window.
+        let one = BigUint::one();
+        let sparse = one.shl(511).add(&one);
+        let dense = one.shl(512).sub(&one);
+        let mut mixed = one.shl(511);
+        mixed.limbs[3] = 0x0F0F_0000_F0F0_0F00;
+        let mut rng = StdRng::seed_from_u64(23);
+        let ctx = Montgomery::new(&odd_modulus(&mut rng, 8));
+        let base = big(0xC0FFEE);
+        let count = |exp: &BigUint| {
+            let before = muls();
+            let _ = ctx.pow(&base, exp);
+            muls() - before
+        };
+        let want = count(&dense);
+        assert_eq!(count(&sparse), want);
+        assert_eq!(count(&mixed), want);
+        // Base and one into Montgomery form, 14 more table entries, 4
+        // squarings and 1 multiply per window after the first, and one
+        // multiply out of Montgomery form.
+        assert_eq!(want, 2 + 14 + 5 * (512 / 4 - 1) + 1);
+    }
+
+    #[test]
+    fn public_exponent_costs_sixteen_squarings_and_one_multiply() {
+        let mut rng = StdRng::seed_from_u64(24);
+        let ctx = Montgomery::new(&odd_modulus(&mut rng, 16));
+        let before = muls();
+        let _ = ctx.pow(&big(0xC0FFEE), &big(65537));
+        // Plus one multiply into and one out of Montgomery form.
+        assert_eq!(muls() - before, 16 + 1 + 2);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Probabilistic primality testing and prime generation for RSA keys.
 
-use crate::bigint::BigUint;
+use crate::bigint::{BigUint, Montgomery};
 use rand::Rng;
 
 /// Small primes used for cheap trial division before Miller–Rabin.
@@ -62,15 +62,23 @@ pub fn is_probable_prime<R: Rng + ?Sized>(n: &BigUint, rng: &mut R) -> bool {
     // First a handful of fixed bases (catches small pseudoprimes
     // deterministically), then random bases.
     let fixed: [u64; 7] = [2, 3, 5, 7, 11, 13, 17];
-    let witness = |a: BigUint| -> bool {
+    // All witnesses share one Montgomery context and stay in Montgomery
+    // form, where 1 and n−1 are R mod n and (n−1)·R mod n.
+    let mont = Montgomery::new(n);
+    let one_m = mont.to_mont(&one);
+    let minus_one_m = mont.to_mont(&n_minus_1);
+    let mut sq = vec![0u64; mont.len()];
+    let mut scratch = vec![0u64; mont.len() + 2];
+    let mut witness = |a: BigUint| -> bool {
         // Returns true if `a` witnesses compositeness.
-        let mut x = a.mod_pow(&d, n);
-        if x.is_one() || x == n_minus_1 {
+        let mut x = mont.pow_mont(&a, &d);
+        if x == one_m || x == minus_one_m {
             return false;
         }
         for _ in 1..r {
-            x = x.mod_mul(&x, n);
-            if x == n_minus_1 {
+            mont.mul(&x, &x, &mut sq, &mut scratch);
+            std::mem::swap(&mut x, &mut sq);
+            if x == minus_one_m {
                 return false;
             }
         }

@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use crate::bigint::BigUint;
+use crate::bigint::{BigUint, Montgomery};
 use crate::error::CryptoError;
 use crate::prime::generate_prime;
 use crate::sha1::Sha1;
@@ -107,7 +107,9 @@ impl RsaPublicKey {
             });
         }
         let m = BigUint::from_be_bytes(block);
-        if m >= self.n {
+        // An even modulus is no RSA key (and has no Montgomery form): a
+        // key parsed from untrusted bytes must fail here, not panic.
+        if m >= self.n || self.n.is_even() {
             return Err(CryptoError::BadPadding);
         }
         Ok(m.mod_pow(&self.e, &self.n).to_be_bytes_padded(k))
@@ -178,9 +180,10 @@ pub struct RsaKeyPair {
     /// can cross-check the CRT path against plain `m^d mod n`.
     #[allow(dead_code)]
     d: BigUint,
-    // CRT parameters for a ~4x faster private operation.
-    p: BigUint,
-    q: BigUint,
+    // CRT parameters for a ~4x faster private operation; each prime is
+    // held as its Montgomery context, built once here.
+    p: Montgomery,
+    q: Montgomery,
     dp: BigUint,
     dq: BigUint,
     qinv: BigUint,
@@ -236,12 +239,11 @@ impl RsaKeyPair {
             let Some(qinv) = q.mod_inverse(&p) else {
                 continue;
             };
-            let (p, q) = (p, q);
             return RsaKeyPair {
                 public: RsaPublicKey { n, e },
                 d,
-                p,
-                q,
+                p: Montgomery::new(&p),
+                q: Montgomery::new(&q),
                 dp,
                 dq,
                 qinv,
@@ -272,16 +274,18 @@ impl RsaKeyPair {
         if c >= self.public.n {
             return Err(CryptoError::BadPadding);
         }
-        let m1 = c.rem(&self.p).mod_pow(&self.dp, &self.p);
-        let m2 = c.rem(&self.q).mod_pow(&self.dq, &self.q);
+        let (p, q) = (self.p.modulus(), self.q.modulus());
+        let m1 = self.p.pow(&c.rem(p), &self.dp);
+        let m2 = self.q.pow(&c.rem(q), &self.dq);
         // h = qinv * (m1 - m2) mod p
-        let diff = if m1 >= m2.rem(&self.p) {
-            m1.sub(&m2.rem(&self.p))
+        let m2p = m2.rem(p);
+        let diff = if m1 >= m2p {
+            m1.sub(&m2p)
         } else {
-            m1.add(&self.p).sub(&m2.rem(&self.p))
+            m1.add(p).sub(&m2p)
         };
-        let h = self.qinv.mod_mul(&diff, &self.p);
-        let m = m2.add(&self.q.mul(&h));
+        let h = self.qinv.mod_mul(&diff, p);
+        let m = m2.add(&q.mul(&h));
         Ok(m.to_be_bytes_padded(k))
     }
 
@@ -473,6 +477,19 @@ mod tests {
         assert_eq!(&parsed, kp.public());
         assert!(RsaPublicKey::from_bytes(&bytes[..bytes.len() - 1]).is_none());
         assert!(RsaPublicKey::from_bytes(&[]).is_none());
+    }
+
+    #[test]
+    fn even_modulus_key_rejects_without_panicking() {
+        let kp = keypair();
+        let even = RsaPublicKey::new(
+            kp.public().modulus().add(&BigUint::one()),
+            BigUint::from_u64(65537),
+        );
+        let sig = kp.sign_pkcs1_sha256(b"msg").unwrap();
+        assert!(!even.verify_pkcs1_sha256(b"msg", &sig));
+        let mut rng = StdRng::seed_from_u64(5);
+        assert!(even.encrypt_pkcs1(&mut rng, b"msg").is_err());
     }
 
     #[test]
