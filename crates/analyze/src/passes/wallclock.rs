@@ -6,8 +6,8 @@
 //! experiments are deterministic and machine-independent. `Instant::now`
 //! / `SystemTime` readings anywhere else silently mix host time into the
 //! model. Only the bench harness (which measures real host CPU on
-//! purpose), the server's operational metrics, and the offline criterion
-//! shim may touch the wall clock.
+//! purpose) and the server's operational metrics may touch the wall
+//! clock.
 
 use super::{Finding, Pass};
 use crate::diag::Severity;
@@ -15,9 +15,7 @@ use crate::source::SourceFile;
 
 /// Files allowed to read the host clock.
 fn is_exempt(path: &str) -> bool {
-    path.starts_with("crates/bench/")
-        || path.starts_with("shims/criterion/")
-        || path == "crates/server/src/metrics.rs"
+    path.starts_with("crates/bench/") || path == "crates/server/src/metrics.rs"
 }
 
 /// The `wallclock-in-model` pass.

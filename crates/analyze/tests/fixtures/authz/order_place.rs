@@ -1,24 +1,24 @@
 //! WAL-before-challenge fixtures: the order/nonce binding must be WAL'd
 //! (`CreateOrder` record) before the confirmation challenge is
-//! registered with the verifier service. Only `register_first` violates
+//! registered with the settlement core. Only `register_first` violates
 //! the rule.
 
 pub fn register_first(
     journal: &Journal,
-    service: &VerifierService,
+    settlement: &Settlement,
     request: &Request,
     now: Duration,
 ) {
-    service.register(request, now);
+    settlement.register(request, now);
     journal.append_record(&JournalRecord::CreateOrder { id: 1 });
 }
 
 pub fn wal_then_register(
     journal: &Journal,
-    service: &VerifierService,
+    settlement: &Settlement,
     request: &Request,
     now: Duration,
 ) {
     journal.append_record(&JournalRecord::CreateOrder { id: 1 });
-    service.register(request, now);
+    settlement.register(request, now);
 }

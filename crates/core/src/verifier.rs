@@ -139,7 +139,7 @@ pub struct PendingNonce {
 /// Everything else the verifier does is stateless cryptography; this
 /// ledger is the one structure that must be consulted and mutated per
 /// evidence submission. Splitting it out of [`Verifier`] lets the server's
-/// `VerifierService` shard settlement by nonce (`hash(nonce) % shards`)
+/// `Settlement` core shard settlement by nonce (`hash(nonce) % shards`)
 /// so no global lock serializes the pipeline.
 ///
 /// The intended call sequence for a concurrent verifier is
@@ -391,11 +391,6 @@ impl Verifier {
         self.ledger.pending_count()
     }
 
-    /// The settlement ledger (read access for dashboards and services).
-    pub fn ledger(&self) -> &NonceLedger {
-        &self.ledger
-    }
-
     /// Issues a confirmation request for `tx` with the default mode.
     pub fn issue_request(&mut self, tx: Transaction, now: Duration) -> TransactionRequest {
         let mode = self.config.default_mode;
@@ -429,8 +424,8 @@ impl Verifier {
         request
     }
 
-    /// Adopts a request issued elsewhere (a replica, or the sharded
-    /// verification service) so this verifier can settle its evidence.
+    /// Adopts a request issued elsewhere so this verifier can settle its
+    /// evidence (the differential tests' reference verifier).
     pub fn import_request(&mut self, request: &TransactionRequest, issued_at: Duration) {
         self.ledger.register(
             &request.nonce,
@@ -441,19 +436,6 @@ impl Verifier {
             },
         );
         self.stats.issued += 1;
-    }
-
-    /// Restores an outstanding entry from a recovered journal — the
-    /// challenge was issued (and persisted) before the crash, so its
-    /// evidence must still be settleable after restart.
-    pub fn restore_pending(&mut self, nonce: [u8; 20], pending: PendingNonce) {
-        self.ledger.register(&Sha1Digest(nonce), pending);
-    }
-
-    /// Restores a consumed nonce from a recovered journal so replayed
-    /// evidence keeps being rejected after restart.
-    pub fn restore_used(&mut self, nonce: [u8; 20]) {
-        self.ledger.restore_used(nonce);
     }
 
     /// Drops expired nonces (housekeeping; `verify` also checks expiry).

@@ -3,8 +3,8 @@
 //!
 //! A [`Schedule`] is simply a sequence of [`Action`]s. Actions are
 //! *labels*, not closures: the same schedule can be applied to the
-//! serial stack, the service-attached stack, or a deliberately buggy
-//! shim, and can be rendered/persisted as text — which is what makes
+//! real stack or a deliberately buggy shim, and can be
+//! rendered/persisted as text — which is what makes
 //! counterexamples replayable and shrinkable.
 //!
 //! Inapplicable actions (an order index the scenario does not have, an

@@ -42,4 +42,4 @@ pub use oracle::{Oracle, Violation, INVARIANT_COUNT};
 pub use scenario::{Scenario, ScenarioOrder, ACCOUNT, OPENING_CENTS};
 pub use shims::{AuditTruncationShim, DoubleSettleShim, ForgottenOrderShim};
 pub use shrink::{render_counterexample, replay_schedule, shrink, ReplayOutcome};
-pub use sut::{apply_action, fingerprint, Fork, RealSystem, ServiceSystem, StateView, System};
+pub use sut::{apply_action, fingerprint, Fork, RealSystem, StateView, System};

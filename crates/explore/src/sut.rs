@@ -1,7 +1,8 @@
-//! Systems under test: the real provider stack (serial and
-//! service-attached) behind one interface, plus the canonical
-//! observable-state projection the oracle and the fingerprint dedup
-//! work on.
+//! The system under test: the real provider stack, settling through the
+//! provider's one sharded [`utp_server::service::Settlement`] core — the
+//! same core a worker pool runs — behind one interface, plus the
+//! canonical observable-state projection the oracle and the fingerprint
+//! dedup work on.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -20,7 +21,7 @@ use utp_server::store::OrderStatus;
 use crate::action::{Action, CrashKind};
 use crate::scenario::Scenario;
 
-/// RNG stream id handed to recovered verifiers. Exploration never
+/// RNG stream id handed to recovered providers. Exploration never
 /// issues new challenges after recovery, so the value only has to be
 /// fixed, not fresh.
 const RECOVERY_RNG_STREAM: u64 = 0x7EC0;
@@ -123,14 +124,9 @@ impl StateView {
         view_of_recovered(&state)
     }
 
-    /// Equality over the semantic fields only (accounts, orders, nonce
-    /// sets, audit) — durable bytes excluded, so views from before and
-    /// after a WAL repair, or from serial vs service stacks, compare.
-    pub fn semantic_eq(&self, other: &StateView) -> bool {
-        self.semantic_diff(other).is_none()
-    }
-
-    /// First differing semantic field, as a stable label.
+    /// First differing semantic field (accounts, orders, nonce sets,
+    /// audit — durable bytes excluded, so views from before and after a
+    /// WAL repair compare), as a stable label.
     pub fn semantic_diff(&self, other: &StateView) -> Option<&'static str> {
         if self.accounts != other.accounts {
             return Some("accounts");
@@ -248,9 +244,8 @@ pub trait System {
 }
 
 /// Systems that support state forking — the explorer's branch
-/// primitive. The service-attached stack does not (worker pools own
-/// shard state), which is why exploration forks the serial stack and
-/// the service stack is exercised by linear schedule replay instead.
+/// primitive. Exploration forks the provider inline, with its sharded
+/// settlement core; worker threads are not forked.
 pub trait Fork: System + Sized {
     /// Deep, independent copy of the system.
     fn fork(&self) -> Self;
@@ -265,7 +260,8 @@ pub struct DurableImage {
     pub log: Vec<u8>,
 }
 
-/// The real serial stack: `ServiceProvider` + journal, verified inline.
+/// The real stack: `ServiceProvider` + journal, settling inline through
+/// its sharded settlement core.
 #[derive(Debug)]
 pub struct RealSystem {
     pub(crate) provider: ServiceProvider,
@@ -425,22 +421,8 @@ impl System for RealSystem {
             })
             .collect();
         orders.sort_by_key(|o| o.id);
-        let mut pending: Vec<[u8; 20]> = self
-            .provider
-            .verifier()
-            .ledger()
-            .pending_entries()
-            .map(|(nonce, _)| *nonce)
-            .collect();
-        pending.sort();
-        let mut used: Vec<[u8; 20]> = self
-            .provider
-            .verifier()
-            .ledger()
-            .used_entries()
-            .copied()
-            .collect();
-        used.sort();
+        let (pending, used) = self.provider.settlement().ledger_export();
+        let pending = pending.into_iter().map(|(nonce, _)| nonce).collect();
         let audit = self
             .provider
             .audit()
@@ -482,73 +464,6 @@ impl Fork for RealSystem {
             journal_config: self.journal_config.clone(),
             rollback: self.rollback.clone(),
         }
-    }
-}
-
-/// The service-attached stack: same provider, evidence routed through
-/// the sharded [`utp_server::service::VerifierService`]. Supports
-/// linear replay only (no [`Fork`]): live worker pools own shard state
-/// that cannot be duplicated, so the differential tests replay the
-/// explorer's schedules through this system and compare views.
-#[derive(Debug)]
-pub struct ServiceSystem {
-    inner: RealSystem,
-    threads: usize,
-    shards: usize,
-}
-
-impl ServiceSystem {
-    /// Attaches a `threads`×`shards` service to a freshly built system.
-    pub fn new(mut inner: RealSystem, threads: usize, shards: usize) -> Self {
-        inner.provider.attach_service(threads, shards);
-        ServiceSystem {
-            inner,
-            threads,
-            shards,
-        }
-    }
-
-    /// Drains and detaches the service (end-of-test hygiene).
-    pub fn shutdown(mut self) {
-        self.inner.provider.detach_service();
-    }
-}
-
-impl System for ServiceSystem {
-    fn submit(
-        &mut self,
-        order_id: u64,
-        evidence: &Evidence,
-        now: Duration,
-    ) -> Result<(), VerifyError> {
-        self.inner.submit(order_id, evidence, now)
-    }
-
-    fn crash_recover(&mut self, kind: &CrashKind) -> RecoveryReport {
-        self.inner.provider.detach_service();
-        let report = self.inner.crash_recover(kind);
-        self.inner
-            .provider
-            .attach_service(self.threads, self.shards);
-        report
-    }
-
-    fn checkpoint(&mut self) {
-        self.inner.checkpoint();
-    }
-
-    fn view(&self) -> StateView {
-        let mut view = self.inner.view();
-        // With a service attached the shards, not the serial ledger, own
-        // nonce settlement; export their merged view.
-        if let Some(service) = self.inner.provider.service() {
-            let (pending, used) = service.ledger_export();
-            view.pending = pending.into_iter().map(|(nonce, _)| nonce).collect();
-            view.pending.sort();
-            view.used = used;
-            view.used.sort();
-        }
-        view
     }
 }
 

@@ -2,18 +2,23 @@
 //! the fleet simulator's modeled provider.
 //!
 //! The policy is deliberately tiny and pure: given the current queue
-//! depth it either admits or sheds with a typed retry-after hint that
-//! grows linearly with the backlog. Keeping it here (the lowest crate
+//! depth — the number of jobs *waiting* in the queue, not counting the
+//! ones a worker is already running — it either admits or sheds with a
+//! typed retry-after hint that grows linearly with the backlog. Both
+//! users read depth that way: the service's gauge drops when a worker
+//! dequeues a job, and the simulator reads its queue's length. Keeping it here (the lowest crate
 //! in the dependency chain that both the server and the simulator can
 //! see) means the E13 saturation sweep tunes exactly the code the
 //! production service runs.
 
 use std::time::Duration;
 
-/// Bounded-queue early-shed policy.
+/// Bounded-queue early-shed policy. "Depth" throughout is the number of
+/// jobs waiting in the queue; jobs already running are not counted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdmissionConfig {
-    /// Depth at which submissions start being shed. Must be at least 1.
+    /// Waiting jobs at which submissions start being shed. Must be at
+    /// least 1.
     pub max_queue: usize,
     /// Minimum retry-after handed to a shed client.
     pub retry_floor: Duration,
@@ -35,7 +40,8 @@ impl AdmissionConfig {
         }
     }
 
-    /// Decides the fate of a submission arriving at `queue_depth`.
+    /// Decides the fate of a submission arriving while `queue_depth`
+    /// jobs are waiting.
     pub fn decide(&self, queue_depth: usize) -> Admission {
         if queue_depth < self.max_queue.max(1) {
             return Admission::Admit;

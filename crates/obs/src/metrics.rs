@@ -45,6 +45,14 @@ impl Counter {
     }
 }
 
+/// A clone is a new counter starting at the current value (forked state
+/// keeps its counts).
+impl Clone for Counter {
+    fn clone(&self) -> Self {
+        Counter(AtomicU64::new(self.get()))
+    }
+}
+
 /// A thread-safe instantaneous-level gauge (queue depth, in-flight
 /// jobs) with a persistent high-watermark. Same relaxed-ordering
 /// contract as [`Counter`]: monitoring data, not synchronization.

@@ -87,9 +87,9 @@ fn fold_journal_time(
 /// Restarts a provider from its journal after a crash, on the machine's
 /// timeline: the recovery read cost advances the virtual clock and is
 /// traced as a deterministic `journal.recover` span. The recovered
-/// provider has the journal re-attached; call
-/// [`ServiceProvider::attach_service`] afterwards to resume sharded
-/// verification (recovered nonces migrate into the shards).
+/// provider has the journal re-attached and its recovered nonces in its
+/// settlement core; call [`ServiceProvider::attach_service`] afterwards
+/// to settle on a worker pool again.
 pub fn recover_provider(
     machine: &mut Machine,
     ca_key: RsaPublicKey,
@@ -120,9 +120,8 @@ pub fn recover_provider(
 /// the client runs the confirmation PAL, the evidence travels up, and the
 /// provider verifies (its real CPU time is measured on the host and folded
 /// into the virtual timeline). If the provider has a
-/// [`crate::service::VerifierService`] attached, verification goes through
-/// its sharded pipeline; the measured CPU time then includes the queue
-/// round-trip. With a journal attached, WAL device time for the order and
+/// [`crate::service::VerifierService`] attached, evidence settles on its
+/// workers; the measured CPU time then includes the queue round-trip. With a journal attached, WAL device time for the order and
 /// settle records is folded into the timeline as well and reported as
 /// [`E2eReport::durability`].
 #[allow(clippy::too_many_arguments)]
@@ -379,7 +378,7 @@ mod tests {
     #[test]
     fn end_to_end_confirms_through_attached_service() {
         let (mut provider, mut machine, mut client) = setup(MachineConfig::fast_for_tests(127));
-        provider.attach_service(2, 2);
+        provider.attach_service(2);
         let mut link = Link::new(LinkConfig::fixed_rtt(Duration::from_millis(40)), 3);
         let mut human = ConfirmingHuman::new(
             Intent {

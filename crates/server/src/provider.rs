@@ -1,17 +1,36 @@
 //! The service-provider facade.
+//!
+//! A [`ServiceProvider`] owns the store, the audit log and one
+//! [`Settlement`] core from construction. It issues challenges from its
+//! own seeded nonce stream, registers each with the settlement, and
+//! settles evidence inline through [`Settlement::verify_settling`]. With
+//! [`ServiceProvider::attach_service`] the same core is handed to a
+//! [`VerifierService`] worker pool and evidence settles on its workers
+//! instead, so a provider has exactly one nonce ledger whether or not a
+//! pool is attached.
 
 use crate::audit::AuditLog;
 use crate::metrics::ServiceStats;
-use crate::service::{ServiceConfig, VerifierService};
+use crate::service::{ServiceConfig, Settlement, VerifierService};
 use crate::store::{Order, OrderStatus, Store};
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 use std::sync::Arc;
 use std::time::Duration;
 use utp_core::protocol::{ConfirmMode, Evidence, Transaction, TransactionRequest};
-use utp_core::verifier::{Verifier, VerifierConfig, VerifyError};
+use utp_core::verifier::{VerifierConfig, VerifyError};
 use utp_crypto::rsa::RsaPublicKey;
+use utp_crypto::sha1::Sha1Digest;
 use utp_journal::{
     Journal, JournalRecord, RecoveredState, RecoveredStatus, RecoveryReport, NO_ORDER,
 };
+
+/// Settlement shards of every provider's core, fixed at construction:
+/// a provider settles on the same geometry inline and on workers. Eight
+/// rather than four so that the explorer's E12 scenario (seed 7, two
+/// orders) puts its two nonces on different shards (7 and 3; with four
+/// shards both land on shard 3) and its model check crosses shards.
+const SETTLEMENT_SHARDS: usize = 8;
 
 /// A settled-transaction receipt.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,21 +43,18 @@ pub struct Receipt {
     pub attempts: u32,
 }
 
-/// An e-commerce provider accepting trusted-path confirmations.
-///
-/// Verification runs through the serial [`Verifier`] by default; call
-/// [`ServiceProvider::attach_service`] to route evidence through a
-/// persistent sharded [`VerifierService`] instead (issuance stays on the
-/// serial verifier, which owns the nonce RNG).
+/// An e-commerce provider accepting trusted-path confirmations. See the
+/// module docs.
 #[derive(Debug)]
 pub struct ServiceProvider {
-    ca_key: RsaPublicKey,
-    verifier: Verifier,
+    default_mode: ConfirmMode,
+    /// Nonce stream for issued challenges.
+    rng: StdRng,
+    settlement: Arc<Settlement>,
     service: Option<VerifierService>,
     store: Store,
     audit: AuditLog,
     tx_counter: u64,
-    journal: Option<Arc<Journal>>,
 }
 
 impl ServiceProvider {
@@ -49,35 +65,37 @@ impl ServiceProvider {
 
     /// Creates a provider with explicit verifier policy.
     pub fn with_config(ca_key: RsaPublicKey, config: VerifierConfig, seed: u64) -> Self {
+        let sizing = ServiceConfig::from_verifier_config(&config, 1, SETTLEMENT_SHARDS);
         ServiceProvider {
-            verifier: Verifier::with_config(ca_key.clone(), config, seed),
-            ca_key,
+            settlement: Arc::new(Settlement::new(ca_key, &sizing)),
+            rng: StdRng::seed_from_u64(seed ^ 0x56_4552_u64),
+            default_mode: config.default_mode,
             service: None,
             store: Store::new(),
             audit: AuditLog::new(),
             tx_counter: 0,
-            journal: None,
         }
     }
 
     /// Makes the settlement path durable: account openings, order
     /// creation and every settle decision are written ahead of their
     /// effects (WAL-before-ack), and the audit log switches to durable
-    /// mode. Attach the journal **before** [`ServiceProvider::attach_service`]
-    /// so the workers inherit it.
+    /// mode. A provider keeps the first journal it is given; later calls
+    /// change nothing.
     pub fn attach_journal(&mut self, journal: Arc<Journal>) {
-        self.audit.attach_journal(Arc::clone(&journal));
-        self.journal = Some(journal);
+        if self.settlement.attach_journal(Arc::clone(&journal)) {
+            self.audit.attach_journal(journal);
+        }
     }
 
     /// The attached journal, if any.
     pub fn journal(&self) -> Option<&Arc<Journal>> {
-        self.journal.as_ref()
+        self.settlement.journal()
     }
 
     /// Recovers a provider from a journal after a crash: replays
     /// snapshot + WAL, rebuilds the store (accounts, orders, balances),
-    /// the audit history, and the verifier's nonce ledger (pending and
+    /// the audit history, and the settlement's nonce ledger (pending and
     /// consumed nonces), and re-seeds the transaction-id counter. The
     /// journal's torn suffix, if any, is repaired in place.
     pub fn recover(
@@ -106,10 +124,10 @@ impl ServiceProvider {
             );
         }
         for (nonce, pending) in &state.pending {
-            provider.verifier.restore_pending(*nonce, pending.clone());
+            provider.settlement.restore_pending(*nonce, pending.clone());
         }
         for nonce in &state.used {
-            provider.verifier.restore_used(*nonce);
+            provider.settlement.restore_used(*nonce);
         }
         for d in &state.audit {
             provider
@@ -127,7 +145,7 @@ impl ServiceProvider {
     /// produce — no drift between live structures and the snapshot is
     /// possible. No-op returning `None` when no journal is attached.
     pub fn checkpoint(&mut self) -> Option<RecoveredState> {
-        let journal = self.journal.as_ref()?;
+        let journal = self.journal()?;
         journal.sync();
         let (state, _report, _cost) = journal.replay();
         journal.install_snapshot(&state);
@@ -135,60 +153,50 @@ impl ServiceProvider {
     }
 
     /// Deep copy of the provider for state-space branching: the store,
-    /// the audit history, the verifier (nonce ledger, policy, stats and
-    /// nonce-RNG state) and the journal (media *and* unflushed caches)
-    /// are all cloned, so the fork and the original evolve
-    /// independently. An attached [`VerifierService`] is **not**
-    /// carried over — a live worker pool owns shard state that cannot
-    /// be duplicated — so forks always verify through the serial path.
+    /// the audit history, the nonce-RNG state and the settlement core
+    /// (ledgers, cache, counters and the journal's media *and* unflushed
+    /// caches) are all copied, so the fork and the original evolve
+    /// independently. An attached worker pool is not copied: the fork
+    /// settles inline, on its copy of the same ledger.
     pub fn fork(&self) -> Self {
-        let journal = self.journal.as_ref().map(|j| Arc::new(j.fork()));
+        let settlement = self.settlement.fork();
         let mut audit = self.audit.clone();
-        if let Some(j) = &journal {
+        if let Some(j) = settlement.journal() {
             // Point the cloned audit log at the forked journal, not the
             // original: durable paging must read the fork's timeline.
             audit.attach_journal(Arc::clone(j));
         }
         ServiceProvider {
-            ca_key: self.ca_key.clone(),
-            verifier: self.verifier.clone(),
+            default_mode: self.default_mode,
+            rng: self.rng.clone(),
+            settlement: Arc::new(settlement),
             service: None,
             store: self.store.clone(),
             audit,
             tx_counter: self.tx_counter,
-            journal,
         }
     }
 
-    /// Starts a [`VerifierService`] with the given pool geometry and
-    /// routes all subsequent evidence submissions through it. The service
-    /// inherits this provider's verification policy (TTL, trusted PALs).
-    pub fn attach_service(&mut self, threads: usize, shards: usize) {
-        let mut config =
-            ServiceConfig::from_verifier_config(self.verifier.config(), threads, shards);
-        config.journal = self.journal.clone();
-        let service = VerifierService::start(self.ca_key.clone(), config);
-        // Migrate the serial ledger into the shards so nonces issued (or
-        // recovered) before the service attached stay settleable — and
-        // consumed nonces stay replay-protected — through the service.
-        for (nonce, pending) in self.verifier.ledger().pending_entries() {
-            service.restore_pending(*nonce, pending.clone());
-        }
-        for nonce in self.verifier.ledger().used_entries() {
-            service.restore_used(*nonce);
-        }
-        self.service = Some(service);
+    /// Starts a [`VerifierService`] pool of `threads` workers around this
+    /// provider's settlement core and routes all subsequent evidence
+    /// submissions through it. A pool already attached is shut down
+    /// first.
+    pub fn attach_service(&mut self, threads: usize) {
+        self.detach_service();
+        let pool = ServiceConfig::new(threads, SETTLEMENT_SHARDS);
+        self.service = Some(VerifierService::serve(Arc::clone(&self.settlement), pool));
     }
 
     /// Shuts down an attached service (draining in-flight jobs) and
-    /// returns its final counters; `None` if none was attached.
+    /// returns its final counters; `None` if none was attached. Evidence
+    /// settles inline again, on the same ledger.
     pub fn detach_service(&mut self) -> Option<ServiceStats> {
         self.service.take().map(VerifierService::shutdown)
     }
 
-    /// The attached verification service, if any.
-    pub fn service(&self) -> Option<&VerifierService> {
-        self.service.as_ref()
+    /// The settlement core (nonce ledger, certificate cache, counters).
+    pub fn settlement(&self) -> &Settlement {
+        &self.settlement
     }
 
     /// The underlying store (accounts, orders).
@@ -208,7 +216,7 @@ impl ServiceProvider {
     /// Opens an account durably: the opening is journaled (and flushed)
     /// before the store mutation becomes visible.
     pub fn open_account(&mut self, name: &str, balance_cents: i64) {
-        if let Some(journal) = &self.journal {
+        if let Some(journal) = self.settlement.journal() {
             journal.append_record(&JournalRecord::OpenAccount {
                 name: name.to_string(),
                 balance_cents,
@@ -216,11 +224,6 @@ impl ServiceProvider {
             journal.sync();
         }
         self.store.open_account(name, balance_cents);
-    }
-
-    /// The verifier (policy + stats).
-    pub fn verifier(&self) -> &Verifier {
-        &self.verifier
     }
 
     /// The audit log of verification decisions.
@@ -240,34 +243,17 @@ impl ServiceProvider {
         memo: &str,
         now: Duration,
     ) -> (u64, TransactionRequest) {
-        self.place_order_with_mode(
-            account,
-            payee,
-            amount_cents,
-            currency,
-            memo,
-            self.verifier.config().default_mode,
-            now,
-        )
-    }
-
-    /// Places an order with an explicit confirmation mode.
-    #[allow(clippy::too_many_arguments)]
-    pub fn place_order_with_mode(
-        &mut self,
-        account: &str,
-        payee: &str,
-        amount_cents: u64,
-        currency: &str,
-        memo: &str,
-        mode: ConfirmMode,
-        now: Duration,
-    ) -> (u64, TransactionRequest) {
         self.tx_counter += 1;
         let tx = Transaction::new(self.tx_counter, payee, amount_cents, currency, memo);
         let order_id = self.store.create_order(account, tx.clone());
-        let request = self.verifier.issue_request_with_mode(tx, mode, now);
-        if let Some(journal) = &self.journal {
+        let mut nonce = [0u8; 20];
+        self.rng.fill_bytes(&mut nonce);
+        let request = TransactionRequest {
+            transaction: tx,
+            nonce: Sha1Digest(nonce),
+            mode: self.default_mode,
+        };
+        if let Some(journal) = self.settlement.journal() {
             // WAL-before-challenge: the order/nonce binding must be
             // durable before the request leaves the provider, or a crash
             // would orphan the evidence the client sends back.
@@ -279,13 +265,7 @@ impl ServiceProvider {
             });
             journal.sync();
         }
-        if let Some(service) = &self.service {
-            // The service settles this nonce; the serial ledger's copy is
-            // never consumed, so garbage-collect it by TTL here to keep
-            // the serial ledger bounded.
-            service.register(&request, now);
-            self.verifier.gc(now);
-        }
+        self.settlement.register(&request, now);
         (order_id, request)
     }
 
@@ -295,7 +275,7 @@ impl ServiceProvider {
     /// evidence confirming order A delivered against order B would debit
     /// B's amount on A's approval — a settle without a matching
     /// human-confirmed quote. Unparseable tokens pass through: the
-    /// verifier rejects them with the precise crypto error.
+    /// settlement rejects them with the precise crypto error.
     fn check_order_binding(&self, order_id: u64, evidence: &Evidence) -> Result<(), VerifyError> {
         let Ok(token) = evidence.token() else {
             return Ok(());
@@ -312,14 +292,16 @@ impl ServiceProvider {
 
     /// Accepts evidence for an order.
     ///
-    /// Routed through the attached [`VerifierService`] when one is
-    /// present, otherwise verified inline by the serial [`Verifier`].
+    /// Settled on the attached [`VerifierService`]'s workers when one is
+    /// present, otherwise inline; both go through the one
+    /// [`Settlement::verify_settling`], which journals the verdict before
+    /// it returns.
     ///
     /// # Errors
     ///
-    /// Returns the verifier's typed rejection; the order is marked
+    /// Returns the settlement's typed rejection; the order is marked
     /// rejected for settled-but-unconfirmed outcomes and stays pending on
-    /// retryable ones (see [`Verifier::verify`]).
+    /// retryable ones.
     pub fn submit_evidence(
         &mut self,
         order_id: u64,
@@ -329,54 +311,23 @@ impl ServiceProvider {
         // The binding check dominates every path to settlement below —
         // the authorization-flow pass proves this stays true.
         if let Err(e) = self.check_order_binding(order_id, evidence) {
-            if let Some(journal) = &self.journal {
-                // Same WAL-before-effect discipline as the verify paths
-                // below: the terminal decision is durable before the
-                // audit log, store or caller see it.
-                let nonce = evidence
-                    .token()
-                    .map(|t| *t.nonce.as_bytes())
-                    .unwrap_or([0u8; 20]);
-                let receipt = journal.append_record(&JournalRecord::Settle {
-                    order_id,
-                    nonce,
-                    at: now,
-                    outcome: Err(e),
-                });
-                journal.sync_to(receipt.seq);
-            }
+            // Same WAL-before-effect discipline as settlement: the
+            // terminal decision is durable before the audit log, store or
+            // caller see it.
+            self.settlement
+                .journal_verdict(order_id, evidence, now, &Err::<(), _>(e));
             self.audit.record(now, order_id, Err(e));
             self.store.reject(order_id, e);
             return Err(e);
         }
         let outcome = match &self.service {
             Some(service) => {
-                // The worker journals the decision (WAL-before-ack); the
-                // ticket resolves only after a covering flush.
                 match service.submit_evidence_for_order(order_id, evidence.clone(), now) {
                     Ok(ticket) => ticket.wait(),
                     Err(_) => Err(VerifyError::ServiceUnavailable),
                 }
             }
-            None => {
-                let outcome = self.verifier.verify(evidence, now);
-                if let Some(journal) = &self.journal {
-                    // Serial path: journal the decision ahead of every
-                    // effect (audit, store, and the caller's view).
-                    let nonce = evidence
-                        .token()
-                        .map(|t| *t.nonce.as_bytes())
-                        .unwrap_or([0u8; 20]);
-                    let receipt = journal.append_record(&JournalRecord::Settle {
-                        order_id,
-                        nonce,
-                        at: now,
-                        outcome: outcome.as_ref().map(|_| ()).map_err(|e| *e),
-                    });
-                    journal.sync_to(receipt.seq);
-                }
-                outcome
-            }
+            None => self.settlement.verify_settling(order_id, evidence, now),
         };
         match outcome {
             Ok(verified) => {
@@ -509,7 +460,7 @@ mod tests {
     #[test]
     fn attached_service_confirms_and_settles() {
         let (mut provider, mut machine, mut client) = setup();
-        provider.attach_service(2, 4);
+        provider.attach_service(2);
         let (order_id, request) =
             provider.place_order("alice", "bookshop", 4_200, "EUR", "order 7", machine.now());
         let mut human = ConfirmingHuman::new(Intent::approving(&request.transaction), 97);
@@ -535,7 +486,7 @@ mod tests {
         assert_eq!(stats.totals().accepted, 1);
         assert_eq!(stats.totals().replayed, 1);
         assert_eq!(stats.totals().registered, 2);
-        // Detached: the serial verifier takes over again for new orders.
+        // Detached: new orders settle inline, on the same ledger.
         let (order3, request3) =
             provider.place_order("alice", "shop", 500, "EUR", "", machine.now());
         let mut human = ConfirmingHuman::new(Intent::approving(&request3.transaction), 98);
@@ -544,6 +495,46 @@ mod tests {
             .submit_evidence(order3, &evidence3, machine.now())
             .unwrap();
         assert!(provider.is_confirmed(order3));
+    }
+
+    /// Genuine evidence settled through an attached pool: `(provider,
+    /// order, evidence, now)`, with alice debited once (95 800 left).
+    fn settled_through_service() -> (ServiceProvider, u64, Evidence, Duration) {
+        let (mut provider, mut machine, mut client) = setup();
+        provider.attach_service(2);
+        let (order_id, request) =
+            provider.place_order("alice", "bookshop", 4_200, "EUR", "order 7", machine.now());
+        let mut human = ConfirmingHuman::new(Intent::approving(&request.transaction), 99);
+        let evidence = client.confirm(&mut machine, &request, &mut human).unwrap();
+        provider
+            .submit_evidence(order_id, &evidence, machine.now())
+            .unwrap();
+        (provider, order_id, evidence, machine.now())
+    }
+
+    fn alice(provider: &ServiceProvider) -> i64 {
+        provider.store().account("alice").unwrap().balance_cents
+    }
+
+    #[test]
+    fn replay_after_detach_service_is_caught() {
+        let (mut provider, order_id, evidence, now) = settled_through_service();
+        provider.detach_service();
+        let err = provider
+            .submit_evidence(order_id, &evidence, now)
+            .unwrap_err();
+        assert_eq!(err, VerifyError::Replayed);
+        assert_eq!(alice(&provider), 95_800, "one debit");
+    }
+
+    #[test]
+    fn replay_on_a_fork_of_an_attached_provider_is_caught() {
+        let (provider, order_id, evidence, now) = settled_through_service();
+        let mut fork = provider.fork();
+        let err = fork.submit_evidence(order_id, &evidence, now).unwrap_err();
+        assert_eq!(err, VerifyError::Replayed);
+        assert_eq!(alice(&fork), 95_800, "one debit");
+        assert_eq!(alice(&provider), 95_800);
     }
 
     fn journal() -> Arc<Journal> {
@@ -676,7 +667,7 @@ mod tests {
         let journal = journal();
         provider.attach_journal(Arc::clone(&journal));
         provider.open_account("alice", 10_000);
-        provider.attach_service(2, 2);
+        provider.attach_service(2);
         let mut machine = Machine::new(MachineConfig::fast_for_tests(213));
         let enrollment = ca.enroll(&mut machine);
         let mut client = Client::new(ClientConfig::fast_for_tests(), enrollment);

@@ -1,26 +1,27 @@
-//! The persistent, sharded verification service.
+//! Nonce settlement: one thread-free core, and the worker pool around it.
 //!
 //! The provider-side cost of the trusted path is one certificate check,
 //! two hashes and one RSA quote verify per transaction, all stateless
 //! ([`utp_core::verifier::check_evidence`]); only nonce settlement needs
-//! serialization. `VerifierService` is the long-lived server shape of
-//! that argument:
+//! serialization. Two types split that work:
 //!
-//! * a pool of worker threads fed by a **bounded** submission queue —
-//!   a full queue blocks (or, via [`VerifierService::try_submit_evidence`],
-//!   reports [`SubmitError::QueueFull`]) instead of buffering without
-//!   limit;
-//! * nonce settlement **sharded** by `hash(nonce) % shards` over
-//!   [`NonceLedger`]s, so the only serialized step of verification no
-//!   longer serializes globally;
-//! * an **LRU cache of validated AIK certificates** keyed by certificate
-//!   digest — a repeat client costs one RSA verify (the quote), not two;
-//! * **graceful shutdown**: dropping the queue lets workers drain every
-//!   in-flight job before joining, and every outstanding [`Ticket`]
-//!   resolves;
-//! * per-shard [`crate::metrics::ShardCounters`] and cache hit counters,
-//!   snapshotted by [`VerifierService::stats`];
-//! * optional **flight recording**: hand [`ServiceConfig::recorder`] a
+//! * [`Settlement`] — the settlement core every verdict goes through.
+//!   It owns the nonce [`NonceLedger`]s, **sharded** by
+//!   `hash(nonce) % shards` so the one serialized step does not
+//!   serialize globally, an **LRU cache of validated AIK certificates**
+//!   keyed by certificate digest (a repeat client costs one RSA verify,
+//!   not two), per-shard [`crate::metrics::ShardCounters`], and the
+//!   optional settlement journal. [`Settlement::verify_settling`] runs
+//!   preflight → `check_evidence` → settle → WAL-before-ack on the
+//!   calling thread, and `Settlement::fork` deep-copies the whole core
+//!   so the explorer can branch on it.
+//! * [`VerifierService`] — a bounded submission queue and a pool of
+//!   worker threads around an `Arc<Settlement>`. A full queue blocks
+//!   (or, via [`VerifierService::try_submit_evidence`], reports
+//!   [`SubmitError::QueueFull`]) instead of buffering without limit;
+//!   **graceful shutdown** drains every in-flight job before joining,
+//!   so every outstanding [`Ticket`] resolves. Optional **flight
+//!   recording**: hand [`ServiceConfig::recorder`] a
 //!   [`utp_trace::Recorder`] and each worker installs a `worker/{i}`
 //!   sink, emitting per-job *volatile* records (queue wait, verify CPU,
 //!   outcome, queue depth) while submissions emit deterministic
@@ -33,7 +34,7 @@ use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use utp_core::ca::AikCertificate;
@@ -48,11 +49,11 @@ use utp_netsim::{Admission, AdmissionConfig};
 use utp_trace::{keys, names, Recorder, Value};
 
 /// Full nonce-ledger state across all shards, as exported by
-/// [`VerifierService::ledger_export`]: `(outstanding entries, consumed
+/// [`Settlement::ledger_export`]: `(outstanding entries, consumed
 /// nonces)`, both sorted by nonce.
 pub type LedgerExport = (Vec<([u8; 20], PendingNonce)>, Vec<[u8; 20]>);
 
-/// Sizing and policy knobs for [`VerifierService`].
+/// Sizing and policy knobs for [`Settlement`] and [`VerifierService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Worker threads (minimum 1).
@@ -72,24 +73,25 @@ pub struct ServiceConfig {
     /// (the default) disables tracing entirely.
     pub recorder: Option<Arc<Recorder>>,
     /// Settlement journal. When set, every settle decision is written
-    /// ahead of its acknowledgement (WAL-before-ack): the worker appends
-    /// a `Settle` record and waits for a covering flush before the
-    /// ticket resolves, so no accepted (or consumed-nonce) outcome can
-    /// be forgotten by a crash.
+    /// ahead of its acknowledgement (WAL-before-ack): the settlement
+    /// appends a `Settle` record and waits for a covering flush before
+    /// the verdict is returned (or its ticket resolves), so no accepted
+    /// (or consumed-nonce) outcome can be forgotten by a crash.
     pub journal: Option<Arc<Journal>>,
     /// Admission control for [`VerifierService::try_submit_evidence`]:
-    /// when set, submissions arriving at or past the policy's queue
-    /// bound are shed *early* with a typed retry-after hint
-    /// ([`SubmitError::Overloaded`]) instead of racing the channel and
-    /// reporting a bare [`SubmitError::QueueFull`]. `None` keeps the
-    /// legacy behavior. The policy type is shared with `utp-netsim`'s
-    /// fleet simulator, whose E13 saturation sweep tunes it.
+    /// when set, submissions arriving while the policy's bound of jobs
+    /// is already waiting in the queue are shed *early* with a typed
+    /// retry-after hint ([`SubmitError::Overloaded`]) instead of racing
+    /// the channel and reporting a bare [`SubmitError::QueueFull`].
+    /// `None` keeps the legacy behavior. The policy type is shared with
+    /// `utp-netsim`'s fleet simulator, whose E13 saturation sweep tunes
+    /// it.
     pub admission: Option<AdmissionConfig>,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        Self::from_verifier_config(&VerifierConfig::default(), 2, 4)
+        Self::new(2, 4)
     }
 }
 
@@ -99,9 +101,9 @@ impl ServiceConfig {
         Self::from_verifier_config(&VerifierConfig::default(), threads, shards)
     }
 
-    /// Derives service sizing from an existing serial-verifier policy, so
-    /// a provider that attaches a service keeps identical acceptance
-    /// rules.
+    /// Derives service sizing from a verifier policy, so a provider's
+    /// settlement keeps that policy's acceptance rules (TTL, trusted
+    /// PALs).
     pub fn from_verifier_config(config: &VerifierConfig, threads: usize, shards: usize) -> Self {
         ServiceConfig {
             threads,
@@ -167,7 +169,7 @@ impl<T> Ticket<T> {
 }
 
 /// One cached, already-validated AIK public key.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct CacheEntry {
     /// Last-touch tick for LRU eviction.
     tick: u64,
@@ -185,7 +187,7 @@ struct CertCache {
     misses: Counter,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct CacheState {
     entries: HashMap<[u8; 20], CacheEntry>,
     tick: u64,
@@ -201,11 +203,21 @@ impl CertCache {
         }
     }
 
+    fn fork(&self) -> Self {
+        let state = self.state.lock().clone();
+        CertCache {
+            capacity: self.capacity,
+            state: Mutex::new(state),
+            hits: self.hits.clone(),
+            misses: self.misses.clone(),
+        }
+    }
+
     /// Parses + validates `cert_bytes` under `ca_key`, serving repeat
     /// certificates from cache. `None` maps to `BadCertificate`.
     ///
     /// Cache hits and misses emit a volatile `svc.cache` trace event on
-    /// the calling worker's sink — always after the state lock is
+    /// the calling thread's sink — always after the state lock is
     /// released, never under it.
     fn resolve(&self, cert_bytes: &[u8], ca_key: &RsaPublicKey) -> Option<RsaPublicKey> {
         if self.capacity == 0 {
@@ -266,7 +278,7 @@ impl CertCache {
 }
 
 /// Live per-shard counter cells (snapshotted into [`ShardCounters`]).
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct ShardCells {
     registered: Counter,
     accepted: Counter,
@@ -300,52 +312,168 @@ struct Shard {
     cells: ShardCells,
 }
 
-/// State shared between the handle and the workers.
+/// The thread-free settlement core: sharded nonce ledgers, the AIK
+/// certificate cache, per-shard counters and the optional journal. See
+/// the module docs. Every method takes `&self`, so one core can serve
+/// an inline caller and a worker pool through the same `Arc`.
 #[derive(Debug)]
-struct Inner {
+pub struct Settlement {
     ca_key: RsaPublicKey,
     trusted_pals: HashSet<Sha1Digest>,
     shards: Vec<Shard>,
     cache: CertCache,
-    /// Jobs accepted into the queue but not yet completed.
-    queue_gauge: Gauge,
-    /// Allocates one sequence number per accepted submission, shared by
-    /// the deterministic `svc.submit` event and the worker's `svc.job`
-    /// record so the two can be joined offline.
-    submit_seq: Counter,
-    /// Submissions bounced by `try_submit_evidence` on a full queue —
-    /// the shed-rate numerator fleet-scale admission control keys on.
-    shed: Counter,
-    /// Jobs executed per worker thread (utilization spread).
-    worker_jobs: Vec<Counter>,
-    /// Host nanoseconds the final drain took (set once by `finish`).
-    drain_ns: Counter,
-    /// Settlement WAL (see [`ServiceConfig::journal`]).
-    journal: Option<Arc<Journal>>,
-    /// Early-shed policy (see [`ServiceConfig::admission`]).
-    admission: Option<AdmissionConfig>,
-    /// Submissions shed by admission control with a typed retry-after
-    /// (a subset of the overload signal `shed` does not cover: these
-    /// never raced the channel).
-    shed_admission: Counter,
+    /// Settlement WAL (see [`ServiceConfig::journal`]); set at most once.
+    journal: OnceLock<Arc<Journal>>,
 }
 
-impl Inner {
-    fn shard_of(&self, nonce: &Sha1Digest) -> &Shard {
-        let mut prefix = [0u8; 8];
-        prefix.copy_from_slice(&nonce.as_bytes()[..8]);
-        let hash = u64::from_le_bytes(prefix);
-        let index = (hash % self.shards.len() as u64) as usize;
-        &self.shards[index]
+impl Settlement {
+    /// A core pinning `ca_key`, sized and configured by `config`'s
+    /// `shards` (clamped to ≥ 1), `cert_cache_capacity`, `nonce_ttl`,
+    /// `trusted_pals` and `journal`; the pool fields are ignored.
+    pub(crate) fn new(ca_key: RsaPublicKey, config: &ServiceConfig) -> Self {
+        Settlement {
+            ca_key,
+            trusted_pals: config.trusted_pals.clone(),
+            shards: (0..config.shards.max(1))
+                .map(|_| Shard {
+                    ledger: Mutex::new(NonceLedger::new(config.nonce_ttl)),
+                    cells: ShardCells::default(),
+                })
+                .collect(),
+            cache: CertCache::new(config.cert_cache_capacity),
+            journal: config
+                .journal
+                .clone()
+                .map(OnceLock::from)
+                .unwrap_or_default(),
+        }
     }
 
-    /// Full verification with nonce settlement: preflight the shard
-    /// (read-mostly), run [`check_evidence`] (the serial verifier's
-    /// check, with AIK certificates served from the cache) without
-    /// holding any lock, then settle. A concurrent duplicate loses the
-    /// settle race and reports `Replayed`, exactly like a sequential
-    /// replay.
-    fn verify_settling(
+    /// Deep copy for state-space branching: ledgers, cache, counters
+    /// and the journal (media *and* unflushed caches) are all copied, so
+    /// the fork and the original settle independently.
+    pub(crate) fn fork(&self) -> Settlement {
+        Settlement {
+            ca_key: self.ca_key.clone(),
+            trusted_pals: self.trusted_pals.clone(),
+            shards: self
+                .shards
+                .iter()
+                .map(|s| {
+                    let ledger = s.ledger.lock().clone();
+                    Shard {
+                        ledger: Mutex::new(ledger),
+                        cells: s.cells.clone(),
+                    }
+                })
+                .collect(),
+            cache: self.cache.fork(),
+            journal: self
+                .journal
+                .get()
+                .map(|j| OnceLock::from(Arc::new(j.fork())))
+                .unwrap_or_default(),
+        }
+    }
+
+    /// Starts journaling settle decisions to `journal`. A core keeps the
+    /// first journal it is given: returns `false`, and changes nothing,
+    /// if one is already attached.
+    pub(crate) fn attach_journal(&self, journal: Arc<Journal>) -> bool {
+        self.journal.set(journal).is_ok()
+    }
+
+    /// The attached journal, if any.
+    pub(crate) fn journal(&self) -> Option<&Arc<Journal>> {
+        self.journal.get()
+    }
+
+    /// Number of settlement shards.
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Index of the shard that settles `nonce`.
+    pub fn shard_index(&self, nonce: &[u8; 20]) -> usize {
+        let mut prefix = [0u8; 8];
+        prefix.copy_from_slice(&nonce[..8]);
+        (u64::from_le_bytes(prefix) % self.shards.len() as u64) as usize
+    }
+
+    fn shard_of(&self, nonce: &Sha1Digest) -> &Shard {
+        &self.shards[self.shard_index(nonce.as_bytes())]
+    }
+
+    /// Registers an issued request with its settlement shard, enabling
+    /// later evidence submission for its nonce.
+    pub(crate) fn register(&self, request: &TransactionRequest, now: Duration) {
+        let entry = PendingNonce {
+            request_bytes: request.to_bytes(),
+            transaction: request.transaction.clone(),
+            issued_at: now,
+        };
+        self.restore_pending(*request.nonce.as_bytes(), entry);
+    }
+
+    /// Restores an outstanding entry into its settlement shard from a
+    /// recovered journal: the challenge was issued (and persisted)
+    /// before the crash, so its evidence stays settleable after restart.
+    pub(crate) fn restore_pending(&self, nonce: [u8; 20], pending: PendingNonce) {
+        let digest = Sha1Digest(nonce);
+        let shard = self.shard_of(&digest);
+        shard.ledger.lock().register(&digest, pending);
+        shard.cells.registered.incr();
+    }
+
+    /// Restores a consumed nonce into its settlement shard so replayed
+    /// evidence keeps losing after a restart.
+    pub(crate) fn restore_used(&self, nonce: [u8; 20]) {
+        let digest = Sha1Digest(nonce);
+        self.shard_of(&digest).ledger.lock().restore_used(nonce);
+    }
+
+    /// Exports the full ledger state across all shards — snapshot
+    /// support: `(outstanding entries, consumed nonces)`, both sorted by
+    /// nonce for deterministic snapshots.
+    pub fn ledger_export(&self) -> LedgerExport {
+        let mut pending = Vec::new();
+        let mut used = Vec::new();
+        for shard in &self.shards {
+            let ledger = shard.ledger.lock();
+            pending.extend(ledger.pending_entries().map(|(n, p)| (*n, p.clone())));
+            used.extend(ledger.used_entries().copied());
+        }
+        pending.sort_by_key(|(n, _)| *n);
+        used.sort_unstable();
+        (pending, used)
+    }
+
+    /// Settles evidence for `order` and journals the verdict: preflight
+    /// the shard (read-mostly), run [`check_evidence`] with AIK
+    /// certificates served from the cache and no lock held, settle the
+    /// nonce, then write the decision ahead of returning it
+    /// (WAL-before-ack). A concurrent duplicate loses the settle race and
+    /// reports `Replayed`, exactly like a sequential replay.
+    ///
+    /// # Errors
+    ///
+    /// The first failing check as a [`VerifyError`]; the nonce is
+    /// consumed on success and on `NotConfirmed`, and stays pending on
+    /// retryable failures.
+    pub fn verify_settling(
+        &self,
+        order: u64,
+        evidence: &Evidence,
+        now: Duration,
+    ) -> Result<VerifiedTransaction, VerifyError> {
+        let outcome = self.settle_evidence(evidence, now);
+        self.journal_verdict(order, evidence, now, &outcome);
+        outcome
+    }
+
+    /// The settling decision of [`Settlement::verify_settling`], before
+    /// it is journaled.
+    fn settle_evidence(
         &self,
         evidence: &Evidence,
         now: Duration,
@@ -370,7 +498,7 @@ impl Inner {
             .inspect_err(|e| shard.cells.count(e))?;
         if token.verdict != Verdict::Confirmed {
             // The nonce is consumed either way — the transaction settled
-            // as rejected — matching the serial verifier.
+            // as rejected.
             shard.cells.rejected.incr();
             return Err(VerifyError::NotConfirmed(token.verdict));
         }
@@ -382,9 +510,66 @@ impl Inner {
         })
     }
 
+    /// Journals a verdict on `order`'s evidence and waits for a covering
+    /// flush, so the decision is durable before anyone acts on it. The
+    /// nonce comes from the token; evidence that did not even parse is
+    /// journaled under the zero nonce (no ledger effect on recovery). A
+    /// no-op without a journal.
+    pub(crate) fn journal_verdict<T>(
+        &self,
+        order: u64,
+        evidence: &Evidence,
+        now: Duration,
+        outcome: &Result<T, VerifyError>,
+    ) {
+        if let Some(journal) = self.journal.get() {
+            let nonce = evidence
+                .token()
+                .map(|t| *t.nonce.as_bytes())
+                .unwrap_or([0u8; 20]);
+            let receipt = journal.append_record(&JournalRecord::Settle {
+                order_id: order,
+                nonce,
+                at: now,
+                outcome: outcome.as_ref().map(|_| ()).map_err(|e| *e),
+            });
+            journal.sync_to(receipt.seq);
+        }
+    }
+}
+
+/// Pool state shared between the handle and the workers.
+#[derive(Debug)]
+struct Inner {
+    settlement: Arc<Settlement>,
+    /// Jobs accepted into the queue and not yet picked up by a worker
+    /// (a worker decrements it on dequeue, before verifying).
+    queue_gauge: Gauge,
+    /// Allocates one sequence number per accepted submission, shared by
+    /// the deterministic `svc.submit` event and the worker's `svc.job`
+    /// record so the two can be joined offline.
+    submit_seq: Counter,
+    /// Submissions bounced by `try_submit_evidence` on a full queue —
+    /// the shed-rate numerator fleet-scale admission control keys on.
+    shed: Counter,
+    /// Jobs executed per worker thread (utilization spread).
+    worker_jobs: Vec<Counter>,
+    /// Host nanoseconds the final drain took (set once by `finish`).
+    drain_ns: Counter,
+    /// Early-shed policy (see [`ServiceConfig::admission`]).
+    admission: Option<AdmissionConfig>,
+    /// Submissions shed by admission control with a typed retry-after
+    /// (a subset of the overload signal `shed` does not cover: these
+    /// never raced the channel).
+    shed_admission: Counter,
+}
+
+impl Inner {
     /// Runs one dequeued job on worker `worker`, emitting the volatile
     /// per-job flight record (queue wait, verify CPU, outcome) on the
-    /// worker's sink. No lock is held at any emission point.
+    /// worker's sink. No lock is held at any emission point. The verdict
+    /// is journaled inside [`Settlement::verify_settling`], so the ticket
+    /// resolves only after a covering flush.
     fn run(&self, queued: Queued, worker: usize) {
         let wait = queued.enqueued.elapsed();
         self.queue_gauge.decr();
@@ -400,7 +585,8 @@ impl Inner {
             order,
             reply,
         } = queued.item;
-        let (outcome, cpu) = crate::metrics::host_timed(|| self.verify_settling(&evidence, now));
+        let (outcome, cpu) =
+            crate::metrics::host_timed(|| self.settlement.verify_settling(order, &evidence, now));
         utp_trace::span_volatile(
             names::SVC_JOB,
             now,
@@ -413,23 +599,6 @@ impl Inner {
                 (keys::VERIFY_HOST, Value::HostNs(cpu.as_nanos() as u64)),
             ],
         );
-        // WAL-before-ack: the decision must be durable before the ticket
-        // resolves. The nonce comes from the token; if the evidence didn't
-        // even parse, the decision is retryable and journaled under the
-        // zero nonce (no ledger effect on recovery).
-        if let Some(journal) = &self.journal {
-            let nonce = evidence
-                .token()
-                .map(|t| *t.nonce.as_bytes())
-                .unwrap_or([0u8; 20]);
-            let receipt = journal.append_record(&JournalRecord::Settle {
-                order_id: order,
-                nonce,
-                at: now,
-                outcome: outcome.as_ref().map(|_| ()).map_err(|e| *e),
-            });
-            journal.sync_to(receipt.seq);
-        }
         let _ = reply.send(outcome);
     }
 }
@@ -461,7 +630,8 @@ fn outcome_label<T>(outcome: &Result<T, VerifyError>) -> String {
     }
 }
 
-/// The long-lived sharded verification pool. See the module docs.
+/// The bounded queue and worker pool around a [`Settlement`]. See the
+/// module docs.
 ///
 /// Dropping the service (or calling [`VerifierService::shutdown`]) stops
 /// intake, drains every queued job, and joins the workers.
@@ -473,26 +643,25 @@ pub struct VerifierService {
 }
 
 impl VerifierService {
-    /// Starts the worker pool. Thread/shard counts are clamped to ≥ 1.
+    /// Starts the worker pool around a new [`Settlement`] built from
+    /// `config`. Thread/shard counts are clamped to ≥ 1.
     pub fn start(ca_key: RsaPublicKey, config: ServiceConfig) -> Self {
+        let settlement = Arc::new(Settlement::new(ca_key, &config));
+        Self::serve(settlement, config)
+    }
+
+    /// Starts the worker pool around an existing settlement core, which
+    /// keeps its own shards, cache, policy and journal: only `config`'s
+    /// `threads`, `queue_depth`, `recorder` and `admission` apply.
+    pub(crate) fn serve(settlement: Arc<Settlement>, config: ServiceConfig) -> Self {
         let threads = config.threads.max(1);
-        let shard_count = config.shards.max(1);
         let inner = Arc::new(Inner {
-            ca_key,
-            trusted_pals: config.trusted_pals,
-            shards: (0..shard_count)
-                .map(|_| Shard {
-                    ledger: Mutex::new(NonceLedger::new(config.nonce_ttl)),
-                    cells: ShardCells::default(),
-                })
-                .collect(),
-            cache: CertCache::new(config.cert_cache_capacity),
+            settlement,
             queue_gauge: Gauge::new(),
             submit_seq: Counter::new(),
             shed: Counter::new(),
             worker_jobs: (0..threads).map(|_| Counter::new()).collect(),
             drain_ns: Counter::new(),
-            journal: config.journal,
             admission: config.admission,
             shed_admission: Counter::new(),
         });
@@ -523,67 +692,10 @@ impl VerifierService {
         }
     }
 
-    /// Number of settlement shards.
-    pub fn shard_count(&self) -> usize {
-        self.inner.shards.len()
-    }
-
-    /// Number of worker threads.
-    pub fn thread_count(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Registers an issued request with its settlement shard, enabling
     /// later evidence submission for its nonce.
     pub fn register(&self, request: &TransactionRequest, now: Duration) {
-        // Serialize and clone before taking the shard lock: the receiver
-        // of `lock().register(..)` is evaluated before its arguments, so
-        // building the entry inline would run `to_bytes` under the guard.
-        let entry = PendingNonce {
-            request_bytes: request.to_bytes(),
-            transaction: request.transaction.clone(),
-            issued_at: now,
-        };
-        let shard = self.inner.shard_of(&request.nonce);
-        shard.ledger.lock().register(&request.nonce, entry);
-        shard.cells.registered.incr();
-    }
-
-    /// Restores an outstanding entry into its settlement shard from a
-    /// recovered journal: the challenge was issued (and persisted)
-    /// before the crash, so its evidence stays settleable after restart.
-    pub fn restore_pending(&self, nonce: [u8; 20], pending: PendingNonce) {
-        let digest = Sha1Digest(nonce);
-        let shard = self.inner.shard_of(&digest);
-        shard.ledger.lock().register(&digest, pending);
-        shard.cells.registered.incr();
-    }
-
-    /// Restores a consumed nonce into its settlement shard so replayed
-    /// evidence keeps losing after a restart.
-    pub fn restore_used(&self, nonce: [u8; 20]) {
-        let digest = Sha1Digest(nonce);
-        self.inner
-            .shard_of(&digest)
-            .ledger
-            .lock()
-            .restore_used(nonce);
-    }
-
-    /// Exports the full ledger state across all shards — snapshot
-    /// support: `(outstanding entries, consumed nonces)`, both sorted by
-    /// nonce for deterministic snapshots.
-    pub fn ledger_export(&self) -> LedgerExport {
-        let mut pending = Vec::new();
-        let mut used = Vec::new();
-        for shard in &self.inner.shards {
-            let ledger = shard.ledger.lock();
-            pending.extend(ledger.pending_entries().map(|(n, p)| (*n, p.clone())));
-            used.extend(ledger.used_entries().copied());
-        }
-        pending.sort_by_key(|(n, _)| *n);
-        used.sort_unstable();
-        (pending, used)
+        self.inner.settlement.register(request, now);
     }
 
     /// Submits evidence for settling verification, blocking while the
@@ -613,27 +725,7 @@ impl VerifierService {
         evidence: Evidence,
         now: Duration,
     ) -> Result<Ticket<VerifiedTransaction>, SubmitError> {
-        let (reply, rx) = channel::bounded(1);
-        let queue = self.queue.as_ref().ok_or(SubmitError::ShutDown)?;
-        let seq = self.inner.submit_seq.next();
-        self.inner.queue_gauge.incr();
-        queue
-            .send(Queued {
-                item: WorkItem {
-                    evidence,
-                    now,
-                    order,
-                    reply,
-                },
-                seq,
-                enqueued: HostStopwatch::start(),
-            })
-            .map_err(|_| {
-                self.inner.queue_gauge.decr();
-                SubmitError::ShutDown
-            })?;
-        utp_trace::event(names::SVC_SUBMIT, now, &[(keys::SEQ, Value::U64(seq))]);
-        Ok(Ticket { rx })
+        self.enqueue(order, evidence, now, true)
     }
 
     /// Non-blocking variant of [`VerifierService::submit_evidence`].
@@ -649,8 +741,6 @@ impl VerifierService {
         evidence: Evidence,
         now: Duration,
     ) -> Result<Ticket<VerifiedTransaction>, SubmitError> {
-        let (reply, rx) = channel::bounded(1);
-        let queue = self.queue.as_ref().ok_or(SubmitError::ShutDown)?;
         if let Some(policy) = &self.inner.admission {
             let depth = self.inner.queue_gauge.get() as usize;
             if let Admission::Shed { retry_after } = policy.decide(depth) {
@@ -659,29 +749,47 @@ impl VerifierService {
                 return Err(SubmitError::Overloaded { retry_after });
             }
         }
+        self.enqueue(NO_ORDER, evidence, now, false)
+    }
+
+    /// Queues one job, blocking on a full queue when `block` is set and
+    /// bouncing it with [`SubmitError::QueueFull`] otherwise.
+    fn enqueue(
+        &self,
+        order: u64,
+        evidence: Evidence,
+        now: Duration,
+        block: bool,
+    ) -> Result<Ticket<VerifiedTransaction>, SubmitError> {
+        let (reply, rx) = channel::bounded(1);
+        let queue = self.queue.as_ref().ok_or(SubmitError::ShutDown)?;
         let seq = self.inner.submit_seq.next();
         self.inner.queue_gauge.incr();
-        queue
-            .try_send(Queued {
-                item: WorkItem {
-                    evidence,
-                    now,
-                    order: NO_ORDER,
-                    reply,
-                },
-                seq,
-                enqueued: HostStopwatch::start(),
-            })
-            .map_err(|e| {
-                self.inner.queue_gauge.decr();
-                match e {
-                    TrySendError::Full(_) => {
-                        self.inner.shed.incr();
-                        SubmitError::QueueFull
-                    }
-                    TrySendError::Disconnected(_) => SubmitError::ShutDown,
+        let queued = Queued {
+            item: WorkItem {
+                evidence,
+                now,
+                order,
+                reply,
+            },
+            seq,
+            enqueued: HostStopwatch::start(),
+        };
+        let sent = if block {
+            queue.send(queued).map_err(|_| SubmitError::ShutDown)
+        } else {
+            queue.try_send(queued).map_err(|e| match e {
+                TrySendError::Full(_) => {
+                    self.inner.shed.incr();
+                    SubmitError::QueueFull
                 }
-            })?;
+                TrySendError::Disconnected(_) => SubmitError::ShutDown,
+            })
+        };
+        if let Err(e) = sent {
+            self.inner.queue_gauge.decr();
+            return Err(e);
+        }
         utp_trace::event(names::SVC_SUBMIT, now, &[(keys::SEQ, Value::U64(seq))]);
         Ok(Ticket { rx })
     }
@@ -706,34 +814,26 @@ impl VerifierService {
             .collect()
     }
 
-    /// Jobs accepted into the queue and not yet completed (queued or
-    /// running), sampled from the live gauge.
+    /// Jobs waiting in the queue — accepted, not yet picked up by a
+    /// worker (running jobs are not counted) — sampled from the live
+    /// gauge. This is the depth admission control reads.
     pub fn queue_depth(&self) -> u64 {
         self.inner.queue_gauge.get()
-    }
-
-    /// Outstanding (registered, unsettled) nonces across all shards.
-    pub fn pending_count(&self) -> usize {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.ledger.lock().pending_count())
-            .sum()
     }
 
     /// Snapshot of per-shard settlement counters, cache hit counters,
     /// and the overload instrumentation (sheds, queue watermark,
     /// per-worker utilization; drain time once shutdown ran).
     pub fn stats(&self) -> ServiceStats {
+        let settlement = &self.inner.settlement;
         ServiceStats {
-            shards: self
-                .inner
+            shards: settlement
                 .shards
                 .iter()
                 .map(|s| s.cells.snapshot())
                 .collect(),
-            cert_cache_hits: self.inner.cache.hits.get(),
-            cert_cache_misses: self.inner.cache.misses.get(),
+            cert_cache_hits: settlement.cache.hits.get(),
+            cert_cache_misses: settlement.cache.misses.get(),
             jobs_shed: self.inner.shed.get(),
             jobs_shed_admission: self.inner.shed_admission.get(),
             queue_depth_watermark: self.inner.queue_gauge.watermark(),
@@ -887,7 +987,7 @@ mod tests {
             .unwrap()
             .wait();
         assert_eq!(verdict, Err(VerifyError::Expired));
-        assert_eq!(svc.pending_count(), 0);
+        assert!(svc.inner.settlement.ledger_export().0.is_empty());
     }
 
     #[test]
@@ -899,7 +999,7 @@ mod tests {
         let verdict = svc.submit_evidence(bad, w.now).unwrap().wait();
         assert_eq!(verdict, Err(VerifyError::BadQuote));
         // Crypto failures are retryable: the genuine evidence still lands.
-        assert_eq!(svc.pending_count(), 1);
+        assert_eq!(svc.inner.settlement.ledger_export().0.len(), 1);
         assert!(svc
             .submit_evidence(w.evidence[0].clone(), w.now)
             .unwrap()

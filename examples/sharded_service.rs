@@ -17,8 +17,11 @@ fn main() {
     let ca = PrivacyCa::new(512, 41);
     let mut provider = ServiceProvider::new(ca.public_key().clone(), 42);
     provider.store_mut().open_account("alice", 1_000_000);
-    provider.attach_service(4, 4);
-    println!("service attached: 4 worker threads, 4 nonce shards\n");
+    provider.attach_service(4);
+    println!(
+        "service attached: 4 worker threads, {} nonce shards\n",
+        provider.settlement().shard_count()
+    );
 
     let mut machine = Machine::new(MachineConfig::fast_for_tests(43));
     let enrollment = ca.enroll(&mut machine);

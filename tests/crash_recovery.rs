@@ -47,14 +47,14 @@ struct ReferenceRun {
 }
 
 /// Runs ORDERS confirmed transactions through a journaled provider with
-/// a 2-thread / 2-shard verification service attached.
+/// a 2-thread verification pool attached.
 fn reference_run() -> ReferenceRun {
     let ca = PrivacyCa::new(512, 7_001);
     let mut provider = ServiceProvider::new(ca.public_key().clone(), 7_002);
     let journal = Arc::new(Journal::new(JournalConfig::fast_for_tests()));
     provider.attach_journal(Arc::clone(&journal));
     provider.open_account("alice", OPENING_CENTS);
-    provider.attach_service(2, 2);
+    provider.attach_service(2);
     let mut machine = Machine::new(MachineConfig::fast_for_tests(7_003));
     let enrollment = ca.enroll(&mut machine);
     let mut client = Client::new(ClientConfig::fast_for_tests(), enrollment);
