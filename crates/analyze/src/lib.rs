@@ -27,7 +27,7 @@
 //!    across blocking channel ops.
 //!
 //! Flow-sensitive passes (PR 6) run over statement-level CFGs
-//! ([`cfg`]) with a worklist fixpoint solver ([`dataflow`]): the
+//! ([`cfg`](mod@cfg)) with a worklist fixpoint solver ([`dataflow`]): the
 //! secret-taint, ct-discipline and lock-discipline passes track
 //! per-local state through branches and loops (zeroize kills taint,
 //! `drop(guard)` releases a lockset entry), and a fourth pass:

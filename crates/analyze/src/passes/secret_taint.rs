@@ -145,10 +145,10 @@ const SINK_FAMILIES: &[SinkFamily] = &[
         advice: "WAL frames are durable and outlive zeroization — journal a digest, a \
                  handle, or nothing",
     },
-    // Metrics/artifact emissions (`utp-obs`): registration carries
-    // label values, artifact pushes carry metric values, and the
-    // exposition renderer writes all of them, verbatim, into
-    // `BENCH_*.json` and the Prometheus-style `.prom` text.
+    // Metrics/artifact emissions (`utp-obs`): cell registration
+    // (`counter`/`gauge`/`histogram`) carries label values, artifact
+    // pushes carry metric values, and the exposition renderer writes
+    // them, verbatim, into `BENCH_*.json` and the `.prom` text.
     SinkFamily {
         fns: &["render_exposition"],
         methods: &[

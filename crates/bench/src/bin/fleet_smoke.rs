@@ -18,6 +18,7 @@ use std::time::{Duration, Instant};
 use utp_netsim::{
     AdmissionConfig, ArrivalCurve, FleetReport, LinkConfig, LinkProfile, Scenario, Topology,
 };
+use utp_obs::{Artifact, Class};
 
 /// The smoke scenario: 8 hubs × 250 clients under 12% loss with
 /// reordering, arriving at twice the pool's capacity (2000/s offered
@@ -75,13 +76,52 @@ fn nightly_scenario(seed: u64) -> Scenario {
     sc
 }
 
-/// Canonical artifact for the byte-identity check: the report's full
-/// `fleet.*` metric export, snapshotted at virtual drain time.
-fn canonical_artifact(report: &FleetReport, config: &str) -> utp_obs::Artifact {
-    let registry = utp_obs::MetricsRegistry::new();
-    report.export_metrics(&registry, &[("run", "smoke")]);
-    let mut artifact = utp_obs::Artifact::new("FLEET_SMOKE", utp_obs::Class::Virtual, config);
-    registry.snapshot(report.makespan).append_to(&mut artifact);
+/// Canonical artifact for the byte-identity check: every `fleet.*`
+/// counter of the report, labeled `run=smoke`. The queue-depth
+/// watermark rides as both `fleet.queue_depth` and
+/// `fleet.queue_depth.watermark`; the latency histogram as one dist.
+fn canonical_artifact(r: &FleetReport, config: &str) -> Artifact {
+    let run = ("run", "smoke");
+    let mut artifact = Artifact::new("FLEET_SMOKE", Class::Virtual, config);
+    let fs = &r.full_stack;
+    for (name, v) in [
+        ("fleet.clients", r.fleet),
+        ("fleet.placed", r.placed),
+        ("fleet.settled", r.settled),
+        ("fleet.rejected", r.rejected),
+        ("fleet.gave_up", r.gave_up),
+        ("fleet.abandoned", r.abandoned),
+        ("fleet.timeouts", r.timeouts),
+        ("fleet.retries", r.retries),
+        ("fleet.replays_sent", r.replays_sent),
+        ("fleet.shed_admission", r.shed_admission),
+        ("fleet.dropped_queue_full", r.dropped_queue_full),
+        ("fleet.dup_settle_attempts", r.duplicate_settle_attempts),
+        ("fleet.verify_jobs", r.verify_jobs),
+        ("fleet.worker_busy_ns", r.worker_busy.as_nanos() as u64),
+        ("fleet.makespan_ns", r.makespan.as_nanos() as u64),
+        ("fleet.events", r.events_processed),
+        ("fleet.fullstack_submitted", fs.submitted),
+        ("fleet.fullstack_settled", fs.settled),
+        ("fleet.fullstack_replayed", fs.replayed),
+        ("fleet.fullstack_rejected", fs.rejected),
+        ("fleet.queue_depth", r.queue_depth_watermark),
+        ("fleet.queue_depth.watermark", r.queue_depth_watermark),
+    ] {
+        artifact.push_u64(name, &[run], v);
+    }
+    artifact.push_hist("fleet.latency", &[run], &r.latency);
+    for (class, stats) in &r.link_stats {
+        let with_class = [run, ("class", class.as_str())];
+        for (name, v) in [
+            ("fleet.link_messages_carried", stats.messages_carried),
+            ("fleet.link_messages_dropped", stats.messages_dropped),
+            ("fleet.link_bytes_carried", stats.bytes_carried),
+            ("fleet.link_bytes_dropped", stats.bytes_dropped),
+        ] {
+            artifact.push_u64(name, &with_class, v);
+        }
+    }
     artifact
 }
 
@@ -200,4 +240,57 @@ fn main() -> ExitCode {
         nightly_note
     );
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use utp_netsim::ClassStats;
+    use utp_obs::{MetricId, MetricValue};
+
+    #[test]
+    fn canonical_artifact_flattens_the_fleet_families() {
+        let mut report = FleetReport {
+            settled: 7,
+            queue_depth_watermark: 3,
+            ..FleetReport::default()
+        };
+        for ns in [1_000, 2_000, 4_000] {
+            report.latency.record_ns(ns);
+        }
+        for (class, carried) in [("core", 11), ("leaf", 5)] {
+            let stats = ClassStats {
+                messages_carried: carried,
+                ..ClassStats::default()
+            };
+            report.link_stats.push((class.to_string(), stats));
+        }
+        let artifact = canonical_artifact(&report, "unit");
+        let get = |name: &str, labels: &[(&str, &str)]| {
+            let id = MetricId::new(name, labels);
+            artifact
+                .metrics
+                .iter()
+                .find(|m| m.id == id)
+                .map(|m| m.value)
+        };
+        let run = ("run", "smoke");
+        assert_eq!(get("fleet.settled", &[run]), Some(MetricValue::U64(7)));
+        assert_eq!(
+            get("fleet.queue_depth.watermark", &[run]),
+            Some(MetricValue::U64(3))
+        );
+        match get("fleet.latency", &[run]) {
+            Some(MetricValue::Dist(d)) => assert_eq!(d.count, 3),
+            other => panic!("expected a latency dist, got {other:?}"),
+        }
+        for (class, carried) in [("core", 11), ("leaf", 5)] {
+            assert_eq!(
+                get("fleet.link_messages_carried", &[run, ("class", class)]),
+                Some(MetricValue::U64(carried))
+            );
+        }
+        // Serialization sorts by id and rejects duplicates.
+        assert!(artifact.to_json().contains("fleet.link_bytes_dropped"));
+    }
 }

@@ -1,9 +1,10 @@
 //! E11 — WAL group commit vs. flush-per-record, and recovery cost.
 //!
 //! All numbers here are **virtual** device time from the simulated
-//! [`StorageDevice`] profiles, not host wall-clock: the journal
-//! serializes every append and barrier onto one deterministic device
-//! timeline, so two runs of this experiment produce identical tables.
+//! [`StorageDevice`](utp_journal::StorageDevice) profiles, not host
+//! wall-clock: the journal serializes every append and barrier onto
+//! one deterministic device timeline, so two runs of this experiment
+//! produce identical tables.
 //!
 //! **Part A** saturates a journal with settle records at group-commit
 //! batch sizes `B ∈ {1, 4, 16, 64}` on each device profile. Durability

@@ -106,26 +106,6 @@ pub struct ExploreReport {
     pub log: String,
 }
 
-impl ExploreReport {
-    /// Registers the run's budget accounting on a metrics registry.
-    /// Exploration is deterministic, so every value is virtual-class
-    /// and byte-reproducible in bench artifacts.
-    pub fn export_metrics(&self, registry: &utp_obs::MetricsRegistry) {
-        registry.counter("explore.states", &[]).add(self.explored);
-        registry.counter("explore.pruned", &[]).add(self.pruned);
-        registry
-            .gauge("explore.deepest", &[])
-            .set(self.deepest as u64);
-        registry.counter("explore.checks", &[]).add(self.checks);
-        registry
-            .counter("explore.violations", &[])
-            .add(self.violations.len() as u64);
-        registry
-            .gauge("explore.budget_exhausted", &[])
-            .set(u64::from(self.budget_exhausted));
-    }
-}
-
 struct Node<S> {
     sut: S,
     now: Duration,

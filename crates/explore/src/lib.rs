@@ -20,8 +20,8 @@
 //! * [`oracle`] holds the four invariants, checked after every action.
 //! * [`explorer`] enumerates interleavings breadth- or depth-first
 //!   with fingerprint deduplication under explicit bounds.
-//! * [`shrink`] replays counterexample schedules deterministically and
-//!   ddmin-shrinks them to minimal form.
+//! * [`shrink`](mod@shrink) replays counterexample schedules
+//!   deterministically and ddmin-shrinks them to minimal form.
 //! * [`shims`] are deliberately buggy providers the explorer must
 //!   catch — the oracle's self-check.
 

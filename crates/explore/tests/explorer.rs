@@ -69,46 +69,6 @@ fn exploration_forks_the_sharded_settlement_across_shards() {
 }
 
 #[test]
-fn export_metrics_mirrors_the_report() {
-    use utp_obs::{MetricId, MetricsRegistry, SampleValue};
-    let (scenario, root) = Scenario::build(SEED, ORDERS);
-    let alphabet = default_alphabet(scenario.order_count(), scenario.nonce_ttl);
-    let report = explore(&scenario, &root, &alphabet, &smoke_config());
-    let registry = MetricsRegistry::new();
-    report.export_metrics(&registry);
-    let snap = registry.snapshot(std::time::Duration::ZERO);
-    let get = |name: &str| {
-        let id = MetricId::new(name, &[]);
-        snap.samples
-            .iter()
-            .find(|s| s.id == id)
-            .map(|s| s.value.clone())
-    };
-    assert_eq!(
-        get("explore.states"),
-        Some(SampleValue::Counter(report.explored))
-    );
-    assert_eq!(
-        get("explore.checks"),
-        Some(SampleValue::Counter(report.checks))
-    );
-    assert_eq!(
-        get("explore.deepest"),
-        Some(SampleValue::Gauge {
-            level: 2,
-            watermark: 2
-        })
-    );
-    assert_eq!(
-        get("explore.budget_exhausted"),
-        Some(SampleValue::Gauge {
-            level: 0,
-            watermark: 0
-        })
-    );
-}
-
-#[test]
 fn exploration_log_is_byte_identical_across_runs() {
     let run = || {
         let (scenario, root) = Scenario::build(SEED, ORDERS);

@@ -126,22 +126,6 @@ pub struct DeviceCounters {
     pub flushes_dropped: u64,
 }
 
-impl DeviceCounters {
-    /// Registers the counters under `device.*` names, labeled with
-    /// which device (`log` or `snap`) they were snapshotted from.
-    pub fn export_metrics(&self, registry: &utp_obs::MetricsRegistry, device: &str) {
-        let labels: &[(&str, &str)] = &[("device", device)];
-        registry.counter("device.appends", labels).add(self.appends);
-        registry
-            .counter("device.bytes_appended", labels)
-            .add(self.bytes_appended);
-        registry.counter("device.flushes", labels).add(self.flushes);
-        registry
-            .counter("device.flushes_dropped", labels)
-            .add(self.flushes_dropped);
-    }
-}
-
 /// The simulated append-only device: durable media plus a volatile
 /// write cache, with deterministic costs and scripted faults.
 ///

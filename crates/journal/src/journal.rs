@@ -364,36 +364,6 @@ impl Journal {
     pub fn durable_seq(&self) -> u64 {
         self.mu.lock().durable_seq
     }
-
-    /// Registers the journal's aggregate stats, log-device counters,
-    /// and serialized device time on a metrics registry. All values are
-    /// virtual-clock and deterministic for a given workload, so they
-    /// land in canonical bench artifacts.
-    pub fn export_metrics(&self, registry: &utp_obs::MetricsRegistry) {
-        let (stats, counters, device_time) = {
-            let g = self.mu.lock();
-            (g.stats, g.log.counters(), g.device_time)
-        };
-        stats.export_metrics(registry);
-        counters.export_metrics(registry, "log");
-        registry
-            .counter("journal.device_time_ns", &[])
-            .add(device_time.as_nanos() as u64);
-    }
-}
-
-impl JournalStats {
-    /// Registers the four aggregate counters under `journal.*` names.
-    pub fn export_metrics(&self, registry: &utp_obs::MetricsRegistry) {
-        registry.counter("journal.appends", &[]).add(self.appends);
-        registry.counter("journal.syncs", &[]).add(self.syncs);
-        registry
-            .counter("journal.sync_elided", &[])
-            .add(self.sync_elided);
-        registry
-            .counter("journal.snapshots", &[])
-            .add(self.snapshots);
-    }
 }
 
 #[cfg(test)]
@@ -429,34 +399,7 @@ mod tests {
         assert_eq!(stats.appends, 7);
         assert_eq!(stats.syncs, 2);
         assert_eq!(stats.sync_elided, 1);
-    }
-
-    #[test]
-    fn export_metrics_covers_stats_device_and_timeline() {
-        use utp_obs::{MetricId, MetricsRegistry, SampleValue};
-        let j = Journal::new(JournalConfig::fast_for_tests()); // batch 4
-        for i in 0..5 {
-            j.append_record(&settle(i));
-        }
-        j.sync_to(5);
-        let registry = MetricsRegistry::new();
-        j.export_metrics(&registry);
-        let snap = registry.snapshot(Duration::ZERO);
-        let get = |name: &str, labels: &[(&str, &str)]| {
-            let id = MetricId::new(name, labels);
-            snap.samples
-                .iter()
-                .find(|s| s.id == id)
-                .map(|s| s.value.clone())
-        };
-        assert_eq!(get("journal.appends", &[]), Some(SampleValue::Counter(5)));
-        assert_eq!(get("journal.syncs", &[]), Some(SampleValue::Counter(2)));
-        assert_eq!(
-            get("device.appends", &[("device", "log")]),
-            Some(SampleValue::Counter(5))
-        );
-        let dt = get("journal.device_time_ns", &[]);
-        assert!(matches!(dt, Some(SampleValue::Counter(n)) if n > 0));
+        assert_eq!(j.log_counters().appends, 7, "one device append each");
     }
 
     #[test]

@@ -35,7 +35,6 @@ use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::time::Duration;
-use utp_obs::MetricsRegistry;
 use utp_trace::LatencyHistogram;
 
 /// Modeled provider parameters.
@@ -673,54 +672,6 @@ impl FleetReport {
         self.notes.push((key.to_string(), value.to_string()));
     }
 
-    /// Exports every counter into `registry` under the `fleet.*`
-    /// namespace with the caller's labels attached.
-    pub fn export_metrics(&self, registry: &MetricsRegistry, labels: &[(&str, &str)]) {
-        let c = |name: &str, v: u64| registry.counter(name, labels).add(v);
-        c("fleet.clients", self.fleet);
-        c("fleet.placed", self.placed);
-        c("fleet.settled", self.settled);
-        c("fleet.rejected", self.rejected);
-        c("fleet.gave_up", self.gave_up);
-        c("fleet.abandoned", self.abandoned);
-        c("fleet.timeouts", self.timeouts);
-        c("fleet.retries", self.retries);
-        c("fleet.replays_sent", self.replays_sent);
-        c("fleet.shed_admission", self.shed_admission);
-        c("fleet.dropped_queue_full", self.dropped_queue_full);
-        c("fleet.dup_settle_attempts", self.duplicate_settle_attempts);
-        c("fleet.verify_jobs", self.verify_jobs);
-        c("fleet.worker_busy_ns", self.worker_busy.as_nanos() as u64);
-        c("fleet.makespan_ns", self.makespan.as_nanos() as u64);
-        c("fleet.events", self.events_processed);
-        c("fleet.fullstack_submitted", self.full_stack.submitted);
-        c("fleet.fullstack_settled", self.full_stack.settled);
-        c("fleet.fullstack_replayed", self.full_stack.replayed);
-        c("fleet.fullstack_rejected", self.full_stack.rejected);
-        registry
-            .gauge("fleet.queue_depth", labels)
-            .set(self.queue_depth_watermark);
-        registry
-            .histogram("fleet.latency", labels)
-            .merge(&self.latency);
-        for (class, stats) in &self.link_stats {
-            let mut with_class: Vec<(&str, &str)> = labels.to_vec();
-            with_class.push(("class", class.as_str()));
-            registry
-                .counter("fleet.link_messages_carried", &with_class)
-                .add(stats.messages_carried);
-            registry
-                .counter("fleet.link_messages_dropped", &with_class)
-                .add(stats.messages_dropped);
-            registry
-                .counter("fleet.link_bytes_carried", &with_class)
-                .add(stats.bytes_carried);
-            registry
-                .counter("fleet.link_bytes_dropped", &with_class)
-                .add(stats.bytes_dropped);
-        }
-    }
-
     /// A canonical, line-oriented rendering of every deterministic
     /// field — the byte-identity surface the determinism tests and
     /// `fleet_smoke` compare.
@@ -909,21 +860,5 @@ mod tests {
         let digest = report.digest();
         assert!(digest.contains("run_tag=unit"));
         assert!(digest.contains("note purpose=test"));
-    }
-
-    #[test]
-    fn export_metrics_registers_fleet_families() {
-        let report = small_scenario(5).run();
-        let registry = MetricsRegistry::new();
-        report.export_metrics(&registry, &[("load", "1.0")]);
-        let snap = registry.snapshot(Duration::ZERO);
-        assert!(snap.samples.iter().any(
-            |s| s.id.name == "fleet.settled" && s.id.labels == [("load".into(), "1.0".into())]
-        ));
-        assert!(snap.samples.iter().any(|s| s.id.name == "fleet.latency"));
-        assert!(snap
-            .samples
-            .iter()
-            .any(|s| s.id.name == "fleet.link_messages_carried"));
     }
 }

@@ -11,7 +11,6 @@
 //! inspection.
 
 use crate::json::{escape_into, Json};
-use crate::registry::MetricId;
 use std::io;
 use std::path::{Path, PathBuf};
 use utp_trace::LatencyHistogram;
@@ -121,6 +120,43 @@ pub enum MetricValue {
     F64(f64),
     /// Latency distribution.
     Dist(Dist),
+}
+
+/// A metric's identity: a dotted name plus sorted `key=value` labels.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct MetricId {
+    /// Dotted metric name (`svc.jobs_shed`).
+    pub name: String,
+    /// Label set, sorted by key (then value).
+    pub labels: Vec<(String, String)>,
+}
+
+impl MetricId {
+    /// Builds an id, sorting the labels into canonical order.
+    pub fn new(name: &str, labels: &[(&str, &str)]) -> MetricId {
+        let mut labels: Vec<(String, String)> = labels
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        labels.sort();
+        MetricId {
+            name: name.to_string(),
+            labels,
+        }
+    }
+
+    /// Renders as `name{k=v,...}` (or bare `name` without labels).
+    pub fn render(&self) -> String {
+        if self.labels.is_empty() {
+            return self.name.clone();
+        }
+        let body: Vec<String> = self
+            .labels
+            .iter()
+            .map(|(k, v)| format!("{k}={v}"))
+            .collect();
+        format!("{}{{{}}}", self.name, body.join(","))
+    }
 }
 
 /// One named, labeled metric inside an artifact.
@@ -428,6 +464,15 @@ impl ArtifactPair {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ids_sort_labels_canonically() {
+        let a = MetricId::new("m", &[("b", "2"), ("a", "1")]);
+        let b = MetricId::new("m", &[("a", "1"), ("b", "2")]);
+        assert_eq!(a, b);
+        assert_eq!(a.render(), "m{a=1,b=2}");
+        assert_eq!(MetricId::new("bare", &[]).render(), "bare");
+    }
 
     fn sample() -> Artifact {
         let mut a = Artifact::new("E99", Class::Virtual, "jobs=8 key_bits=512");

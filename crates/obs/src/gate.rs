@@ -11,10 +11,9 @@
 //! same drift-gate shape as the measured-TCB and authz-spec baselines.
 
 use crate::artifact::{
-    parse_header, parse_metric, render_metric, Artifact, Class, Metric, MetricValue,
+    parse_header, parse_metric, render_metric, Artifact, Class, Metric, MetricId, MetricValue,
 };
 use crate::json::{escape_into, Json};
-use crate::registry::MetricId;
 use std::collections::BTreeMap;
 
 /// Baseline schema identifier; bump on breaking format changes.

@@ -1,22 +1,20 @@
-//! Workspace-wide observability: a labeled metrics registry, canonical
-//! machine-readable perf artifacts, and a perf-regression gate.
+//! Workspace-wide perf observability: canonical machine-readable perf
+//! artifacts, their text exposition, the perf-regression gate, and the
+//! workspace's one JSON reader.
 //!
-//! The crate has three layers, mirroring the tracing substrate's
-//! split between deterministic and host-measured data:
+//! * [`artifact`] — the schema-versioned `BENCH_<exp>.json` artifact
+//!   format every experiment bin emits. Each experiment flattens its
+//!   own report straight into an [`Artifact`] with `push_*` calls; a
+//!   latency distribution is a `utp_trace::LatencyHistogram`,
+//!   flattened into a [`Dist`].
+//! * [`expo`] — a Prometheus-style text rendering for human
+//!   inspection.
+//! * [`gate`] — the baseline comparator behind `utp-obs gate`.
+//! * [`json`] — the reader behind artifacts, baselines, and the
+//!   analyzer's spec files.
 //!
-//! * [`metrics`] — the lock-free primitive cells ([`Counter`],
-//!   [`Gauge`] with a persistent high-watermark, [`Summary`] with a
-//!   p999 tail) that the verification service, journal, and explorer
-//!   bump on their hot paths. These moved here from
-//!   `utp-server::metrics` so every crate can share them.
-//! * [`registry`] — a labeled [`MetricsRegistry`] that names those
-//!   cells (`name{label=value}`), hands out `Arc` handles whose
-//!   increments never take the registry lock, and exports
-//!   deterministic, sorted [`MetricsSnapshot`]s on the virtual clock.
-//! * [`artifact`] / [`gate`] — the schema-versioned `BENCH_<exp>.json`
-//!   artifact format every experiment bin emits, a Prometheus-style
-//!   text [`expo`]sition renderer for human inspection, and the
-//!   baseline comparator behind `utp-obs gate`.
+//! The live counters and gauges the verification service bumps live
+//! in `utp_server::metrics`; `stats()` snapshots read them directly.
 //!
 //! # Determinism contract
 //!
@@ -32,7 +30,7 @@
 //! Like the tracing crate, none of this code may be linked into the
 //! TCB: the `tcb-boundary` analyzer pass forbids `utp_obs` imports
 //! from attested code, and the `secret-taint` pass treats the
-//! registry/artifact writers as serialization sinks.
+//! artifact writers as serialization sinks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,13 +39,7 @@ pub mod artifact;
 pub mod expo;
 pub mod gate;
 pub mod json;
-pub mod metrics;
-pub mod registry;
 
-pub use artifact::{Artifact, ArtifactPair, Class, Dist, Metric, MetricValue, SCHEMA};
+pub use artifact::{Artifact, ArtifactPair, Class, Dist, Metric, MetricId, MetricValue, SCHEMA};
 pub use expo::render_exposition;
 pub use gate::{compare, Baseline, BaselineMetric, GateDiff, GateReport, BASELINE_SCHEMA};
-pub use metrics::{throughput, Counter, Gauge, Summary};
-pub use registry::{
-    HistogramCell, MetricId, MetricsRegistry, MetricsSnapshot, Sample, SampleValue,
-};

@@ -1,34 +1,32 @@
-//! Cross-module integration tests: registry → snapshot → artifact →
-//! JSON → gate, exercised through the public API only.
+//! Cross-module integration tests: artifact → JSON → gate and
+//! exposition, exercised through the public API only.
 
-use std::time::Duration;
 use utp_obs::{
     compare, render_exposition, Artifact, ArtifactPair, Baseline, Class, MetricValue,
-    MetricsRegistry, BASELINE_SCHEMA, SCHEMA,
+    BASELINE_SCHEMA, SCHEMA,
 };
+use utp_trace::LatencyHistogram;
 
-/// A registry populated the way a service run would.
-fn populated_registry() -> MetricsRegistry {
-    let registry = MetricsRegistry::new();
-    registry.counter("svc.accepted", &[("shard", "0")]).add(40);
-    registry.counter("svc.accepted", &[("shard", "1")]).add(24);
-    registry.gauge("svc.queue_depth", &[]).set(3);
-    registry.gauge("svc.queue_depth", &[]).set(1); // watermark stays 3
-    let hist = registry.histogram("svc.verify_ns", &[]);
+/// An artifact populated the way a service run flattens its stats: two
+/// per-shard counters, a queue-depth gauge with its watermark, and a
+/// verify-latency histogram.
+fn service_artifact() -> Artifact {
+    let mut artifact = Artifact::new("E99", Class::Virtual, "itest");
+    artifact.push_u64("svc.accepted", &[("shard", "0")], 40);
+    artifact.push_u64("svc.accepted", &[("shard", "1")], 24);
+    artifact.push_u64("svc.queue_depth", &[], 1);
+    artifact.push_u64("svc.queue_depth.watermark", &[], 3);
+    let mut hist = LatencyHistogram::new();
     for ns in [1_000, 2_000, 4_000, 8_000] {
         hist.record_ns(ns);
     }
-    registry
+    artifact.push_hist("svc.verify_ns", &[], &hist);
+    artifact
 }
 
 #[test]
-fn registry_snapshot_flows_into_a_round_tripping_artifact() {
-    let registry = populated_registry();
-    let snap = registry.snapshot(Duration::from_millis(5));
-
-    let mut artifact = Artifact::new("E99", Class::Virtual, "itest");
-    snap.append_to(&mut artifact);
-    let doc = artifact.to_json();
+fn pushed_metrics_flow_into_a_round_tripping_artifact() {
+    let doc = service_artifact().to_json();
     assert!(doc.contains(SCHEMA), "schema header present");
 
     let parsed = Artifact::from_json(&doc).expect("artifact parses");
@@ -55,9 +53,7 @@ fn registry_snapshot_flows_into_a_round_tripping_artifact() {
 
 #[test]
 fn baseline_derives_from_artifact_and_round_trips() {
-    let registry = populated_registry();
-    let mut artifact = Artifact::new("E99", Class::Virtual, "itest");
-    registry.snapshot(Duration::ZERO).append_to(&mut artifact);
+    let artifact = service_artifact();
 
     let baseline = Baseline::from_artifact(&artifact);
     let doc = baseline.to_json();
@@ -72,9 +68,7 @@ fn baseline_derives_from_artifact_and_round_trips() {
 
 #[test]
 fn perturbed_baseline_fails_the_gate_with_a_per_metric_diff() {
-    let registry = populated_registry();
-    let mut artifact = Artifact::new("E99", Class::Virtual, "itest");
-    registry.snapshot(Duration::ZERO).append_to(&mut artifact);
+    let artifact = service_artifact();
 
     // Perturb one metric in the baseline: the gate must name it.
     let mut baseline = Baseline::from_artifact(&artifact);
@@ -121,9 +115,7 @@ fn artifact_pair_writes_all_three_files() {
 
 #[test]
 fn exposition_renders_quantile_series_for_dists() {
-    let registry = populated_registry();
-    let mut artifact = Artifact::new("E99", Class::Virtual, "itest");
-    registry.snapshot(Duration::ZERO).append_to(&mut artifact);
+    let artifact = service_artifact();
     let text = render_exposition(&[&artifact]);
     assert!(text.contains("svc_verify_ns_count{class=\"virtual\"} 4"));
     assert!(text.contains("quantile=\"0.999\""));

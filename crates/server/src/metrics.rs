@@ -1,18 +1,119 @@
-//! Service-level metric snapshots, plus the single sanctioned
-//! host-clock reader.
+//! The service's live metric cells and snapshot shapes, plus the
+//! single sanctioned host-clock reader.
 //!
-//! The primitive cells ([`Counter`], [`Gauge`], [`Summary`]) and
-//! [`throughput`] moved to `utp-obs` so the journal, explorer, and
-//! bench harness share one vocabulary; they are re-exported here, so
-//! `utp_server::metrics::Counter` remains a valid path. What stays in
-//! this module is the service's own snapshot shapes and the host-clock
-//! readers — the `wallclock-in-model` analyzer pass exempts exactly
-//! this file, so [`host_timed`] and [`HostStopwatch`] must live here.
+//! [`Counter`] and [`Gauge`] are the lock-free atomics the verification
+//! service bumps on its hot paths; `VerifierService::stats()` reads
+//! them into a [`ServiceStats`] snapshot, and the bench harness
+//! flattens that snapshot straight into its perf artifact. The
+//! `wallclock-in-model` analyzer pass exempts exactly this file, so
+//! [`host_timed`] and [`HostStopwatch`] must live here.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-use utp_obs::MetricsRegistry;
 
-pub use utp_obs::metrics::{throughput, Counter, Gauge, Summary};
+/// A monotonically increasing, thread-safe event counter.
+///
+/// Hot paths bump these with relaxed ordering — counts are monitoring
+/// data, not synchronization; a snapshot taken while workers run may
+/// lag individual increments but never loses one.
+#[derive(Debug, Default)]
+pub struct Counter(AtomicU64);
+
+impl Counter {
+    /// A counter at zero.
+    pub const fn new() -> Self {
+        Counter(AtomicU64::new(0))
+    }
+
+    /// Adds one.
+    pub fn incr(&self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Adds `n` in one atomic step (batch completions).
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Adds one and returns the pre-increment value — an atomic sequence
+    /// allocator (submission sequence numbers in trace records).
+    pub fn next(&self) -> u64 {
+        self.0.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Current value.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// A clone is a new counter starting at the current value (forked state
+/// keeps its counts).
+impl Clone for Counter {
+    fn clone(&self) -> Self {
+        Counter(AtomicU64::new(self.get()))
+    }
+}
+
+/// A thread-safe instantaneous-level gauge (queue depth, in-flight
+/// jobs) with a persistent high-watermark. Same relaxed-ordering
+/// contract as [`Counter`]: monitoring data, not synchronization.
+///
+/// The watermark records the highest level the gauge ever reached and
+/// — unlike the instantaneous level, which is usually back to zero by
+/// the time anyone looks — survives every read.
+#[derive(Debug, Default)]
+pub struct Gauge {
+    level: AtomicU64,
+    hwm: AtomicU64,
+}
+
+impl Gauge {
+    /// A gauge at zero.
+    pub const fn new() -> Self {
+        Gauge {
+            level: AtomicU64::new(0),
+            hwm: AtomicU64::new(0),
+        }
+    }
+
+    /// Current level.
+    pub fn get(&self) -> u64 {
+        self.level.load(Ordering::Relaxed)
+    }
+
+    /// Highest level observed since creation. Never lower than the
+    /// current level.
+    pub fn watermark(&self) -> u64 {
+        self.hwm
+            .load(Ordering::Relaxed)
+            .max(self.level.load(Ordering::Relaxed))
+    }
+
+    /// Raises the level by one.
+    pub fn incr(&self) {
+        let now = self.level.fetch_add(1, Ordering::Relaxed) + 1;
+        self.hwm.fetch_max(now, Ordering::Relaxed);
+    }
+
+    /// Lowers the level by one, saturating at zero (an unmatched
+    /// decrement must not wrap to `u64::MAX`).
+    pub fn decr(&self) {
+        let _ = self
+            .level
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+                Some(v.saturating_sub(1))
+            });
+    }
+}
+
+/// Throughput in operations per second given a batch size and elapsed time.
+pub fn throughput(ops: usize, elapsed: Duration) -> f64 {
+    if elapsed.is_zero() {
+        return f64::INFINITY;
+    }
+    ops as f64 / elapsed.as_secs_f64()
+}
 
 /// Per-shard settlement counters, snapshotted from the live atomics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -100,44 +201,6 @@ impl ServiceStats {
         }
         self.jobs_shed as f64 / outcomes as f64
     }
-
-    /// Registers this snapshot on a metrics registry: per-shard
-    /// settlement counters, per-worker job counters, cache and
-    /// overload totals. Labels follow the shard/worker index.
-    pub fn export_metrics(&self, registry: &MetricsRegistry) {
-        for (i, shard) in self.shards.iter().enumerate() {
-            let idx = i.to_string();
-            let labels: &[(&str, &str)] = &[("shard", idx.as_str())];
-            registry
-                .counter("svc.registered", labels)
-                .add(shard.registered);
-            registry.counter("svc.accepted", labels).add(shard.accepted);
-            registry.counter("svc.rejected", labels).add(shard.rejected);
-            registry.counter("svc.replayed", labels).add(shard.replayed);
-        }
-        for (i, jobs) in self.worker_jobs.iter().enumerate() {
-            let idx = i.to_string();
-            registry
-                .counter("svc.worker_jobs", &[("worker", idx.as_str())])
-                .add(*jobs);
-        }
-        registry
-            .counter("svc.cert_cache_hits", &[])
-            .add(self.cert_cache_hits);
-        registry
-            .counter("svc.cert_cache_misses", &[])
-            .add(self.cert_cache_misses);
-        registry.counter("svc.jobs_shed", &[]).add(self.jobs_shed);
-        registry
-            .counter("svc.jobs_shed_admission", &[])
-            .add(self.jobs_shed_admission);
-        registry
-            .gauge("svc.queue_depth", &[])
-            .set(self.queue_depth_watermark);
-        registry
-            .counter("svc.drain_ns", &[])
-            .add(self.drain_time.as_nanos() as u64);
-    }
 }
 
 /// Measures the host CPU time of `f` and returns its result alongside.
@@ -177,7 +240,6 @@ impl HostStopwatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use utp_obs::SampleValue;
 
     #[test]
     fn service_stats_totals_and_hit_rate() {
@@ -226,55 +288,78 @@ mod tests {
     }
 
     #[test]
-    fn export_metrics_registers_labeled_cells() {
-        let stats = ServiceStats {
-            shards: vec![
-                ShardCounters {
-                    registered: 2,
-                    accepted: 1,
-                    rejected: 1,
-                    replayed: 0,
-                },
-                ShardCounters::default(),
-            ],
-            cert_cache_hits: 3,
-            cert_cache_misses: 1,
-            jobs_shed: 4,
-            jobs_shed_admission: 2,
-            queue_depth_watermark: 7,
-            drain_time: Duration::from_micros(5),
-            worker_jobs: vec![9, 0],
-        };
-        let registry = MetricsRegistry::new();
-        stats.export_metrics(&registry);
-        let snap = registry.snapshot(Duration::ZERO);
-        let get = |name: &str, labels: &[(&str, &str)]| {
-            let id = utp_obs::MetricId::new(name, labels);
-            snap.samples
-                .iter()
-                .find(|s| s.id == id)
-                .map(|s| s.value.clone())
-        };
-        assert_eq!(
-            get("svc.accepted", &[("shard", "0")]),
-            Some(SampleValue::Counter(1))
-        );
-        assert_eq!(
-            get("svc.worker_jobs", &[("worker", "0")]),
-            Some(SampleValue::Counter(9))
-        );
-        assert_eq!(get("svc.jobs_shed", &[]), Some(SampleValue::Counter(4)));
-        assert_eq!(
-            get("svc.jobs_shed_admission", &[]),
-            Some(SampleValue::Counter(2))
-        );
-        assert_eq!(
-            get("svc.queue_depth", &[]),
-            Some(SampleValue::Gauge {
-                level: 7,
-                watermark: 7
-            })
-        );
-        assert_eq!(get("svc.drain_ns", &[]), Some(SampleValue::Counter(5_000)));
+    fn throughput_computes_ops_per_sec() {
+        assert!((throughput(100, Duration::from_secs(2)) - 50.0).abs() < 1e-9);
+        assert!(throughput(1, Duration::ZERO).is_infinite());
+    }
+
+    #[test]
+    fn counter_is_thread_safe() {
+        let c = Counter::new();
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for _ in 0..1000 {
+                        c.incr();
+                    }
+                });
+            }
+        });
+        assert_eq!(c.get(), 4000);
+        c.add(58);
+        assert_eq!(c.get(), 4058);
+        assert_eq!(c.next(), 4058, "next returns the pre-increment value");
+        assert_eq!(c.get(), 4059);
+    }
+
+    #[test]
+    fn gauge_is_thread_safe() {
+        let g = Gauge::new();
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for _ in 0..1000 {
+                        g.incr();
+                        g.decr();
+                        g.incr();
+                    }
+                });
+            }
+        });
+        assert_eq!(g.get(), 4000, "balanced incr/decr leave the net level");
+        for _ in 0..4000 {
+            g.decr();
+        }
+        assert_eq!(g.get(), 0);
+        g.decr();
+        assert_eq!(g.get(), 0, "decr saturates at zero");
+        assert_eq!(g.watermark(), 4000, "the peak survives the drain");
+    }
+
+    #[test]
+    fn gauge_watermark_survives_reads() {
+        let g = Gauge::new();
+        g.incr();
+        g.incr();
+        g.incr();
+        g.decr();
+        g.decr();
+        assert_eq!(g.get(), 1);
+        assert_eq!(g.watermark(), 3, "peak level retained after drops");
+        assert_eq!(g.watermark(), 3, "reading the watermark is non-destructive");
+    }
+
+    #[test]
+    fn gauge_watermark_never_below_level() {
+        let g = Gauge::new();
+        for _ in 0..5 {
+            g.incr();
+        }
+        assert_eq!(g.watermark(), 5);
+        g.decr();
+        g.incr();
+        g.incr();
+        assert_eq!(g.get(), 6);
+        assert_eq!(g.watermark(), 6, "a new peak raises the watermark");
     }
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full local gate: formatting, clippy (warnings are errors), the
-# utp-analyze static analyzer, and the test suite. CI runs exactly this.
+# Full local gate: formatting, clippy (warnings are errors), rustdoc
+# (warnings are errors), the utp-analyze static analyzer, and the test
+# suite. CI runs exactly this.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -9,6 +10,9 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc --no-deps (rustdoc warnings, including broken intra-doc links, are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
 
 echo "==> utp-analyze (findings + TCB baseline + dataflow coverage + authz spec gate)"
 mkdir -p target
