@@ -36,9 +36,13 @@ pub fn declared_category(path: &str) -> Option<&'static str> {
     match path {
         "crates/core/src/pal.rs" | "crates/flicker/src/pal.rs" => Some("pal"),
         "crates/core/src/protocol.rs" | "crates/core/src/error.rs" => Some("protocol"),
-        // Verifier-side serialization impls pulled in only by
-        // conservative method-name resolution from PAL `to_bytes` /
-        // `from_bytes` call sites; nothing here runs inside a session.
+        // Pulled in only by conservative method-name resolution from PAL
+        // `to_bytes` / `from_bytes` call sites. Nothing in `verifier.rs`
+        // or `ca.rs` runs inside a session. The extension PALs do:
+        // `BatchPal::invoke` and `AmortizedPal::{handle_setup,
+        // handle_confirm}` run in their sessions, but their dialogue is
+        // `core/pal.rs`'s `confirm_dialogue`; only their input parsing
+        // and key setup stay here, outside `is_tcb_path`.
         "crates/core/src/verifier.rs"
         | "crates/core/src/ca.rs"
         | "crates/core/src/amortized.rs"

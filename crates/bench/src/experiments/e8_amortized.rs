@@ -94,7 +94,9 @@ pub fn run(key_bits: usize) -> Vec<AmortizedRow> {
                 .confirm_with_report(&mut machine_a, &request, &mut human)
                 .expect("amortized session runs");
             let wall = std::time::Instant::now();
-            verifier_a.verify(&evidence_a).expect("verifies");
+            verifier_a
+                .verify(&evidence_a, machine_a.now())
+                .expect("verifies");
             let server_cpu_amortized = wall.elapsed();
 
             AmortizedRow {

@@ -59,7 +59,9 @@ pub fn run(key_bits: usize) -> Vec<BatchRow> {
             let (evidence, report) = client
                 .confirm_batch(&mut machine, &request, &mut op)
                 .expect("batch session runs");
-            let confirmed = verifier.verify(&evidence).expect("batch verifies");
+            let confirmed = verifier
+                .verify(&evidence, machine.now())
+                .expect("batch verifies");
             let machine_only = report.timings.machine_only();
             BatchRow {
                 batch_size: k,

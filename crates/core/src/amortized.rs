@@ -20,18 +20,26 @@
 //! The trade-off is real and measurable: on chips where unseal is nearly
 //! as slow as quote the gain shrinks — the E8 ablation regenerates exactly
 //! that comparison.
+//!
+//! The confirm session runs the base PAL's dialogue, and
+//! [`AmortizedVerifier`] settles through the base [`NonceLedger`] in the
+//! base order, so evidence that fails a check leaves the nonce pending.
 
 use crate::ca::Enrollment;
+use crate::client::attested_quote;
 use crate::error::UtpError;
+use crate::pal::{confirm_dialogue, V1_CODE_ATTEMPTS};
 use crate::protocol::{ConfirmMode, ConfirmationToken, TransactionRequest, Verdict};
-use crate::verifier::{check_quote_chain, VerifyError};
+use crate::verifier::{
+    check_quote_chain, NonceLedger, PendingNonce, VerifyError, DEFAULT_NONCE_TTL,
+};
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 use utp_crypto::hmac::hmac_sha256;
 use utp_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use utp_crypto::sha1::{Sha1, Sha1Digest};
 use utp_flicker::marshal::{put_bytes, put_u64, Reader};
-use utp_flicker::pal::{Operator, Pal, PalEnv, PalError, ScriptedOperator, Termination};
+use utp_flicker::pal::{Operator, Pal, PalEnv, PalError, ScriptedOperator};
 use utp_flicker::runtime::{run_pal, AttestSpec, SessionReport};
 use utp_platform::machine::Machine;
 use utp_tpm::keys::SRK_HANDLE;
@@ -48,7 +56,6 @@ const INPUT_TAG_CONFIRM: u8 = 1;
 #[derive(Debug, Clone)]
 pub struct AmortizedPal {
     image: Vec<u8>,
-    max_code_attempts: u32,
 }
 
 impl AmortizedPal {
@@ -56,7 +63,6 @@ impl AmortizedPal {
     pub fn v1() -> Self {
         AmortizedPal {
             image: b"UTP-AMORTIZED-CONFIRMATION-PAL v1 (max_code_attempts=3)".to_vec(),
-            max_code_attempts: 3,
         }
     }
 
@@ -83,9 +89,11 @@ impl AmortizedPal {
         let pad_seed = env.get_random(8)?;
         let mut rng = {
             use rand::SeedableRng;
-            rand::rngs::StdRng::seed_from_u64(u64::from_be_bytes(
-                pad_seed.as_slice().try_into().expect("asked for 8 bytes"),
-            ))
+            rand::rngs::StdRng::seed_from_u64(
+                pad_seed
+                    .iter()
+                    .fold(0u64, |acc, &b| (acc << 8) | u64::from(b)),
+            )
         };
         let key_ct = server_pub
             .encrypt_pkcs1(&mut rng, &key)
@@ -121,61 +129,13 @@ impl AmortizedPal {
         let key = env.unseal(SRK_HANDLE, &blob)?;
         env.compute(Duration::from_millis(1));
 
-        // Render and collect the verdict — same UX as the base PAL.
-        env.show(0, "=== TRUSTED TRANSACTION CONFIRMATION (amortized) ===")?;
-        env.show(2, &format!("Pay to : {}", request.transaction.payee))?;
-        env.show(
-            3,
-            &format!("Amount : {}", request.transaction.display_amount()),
+        let (verdict, attempts) = confirm_dialogue(
+            env,
+            "=== TRUSTED TRANSACTION CONFIRMATION (amortized) ===",
+            &request.transaction,
+            request.mode,
+            V1_CODE_ATTEMPTS,
         )?;
-        env.show(4, &format!("Memo   : {}", request.transaction.memo))?;
-        let (verdict, attempts) = match request.mode {
-            ConfirmMode::PressEnter => {
-                env.show(6, "Press ENTER to approve this transaction.")?;
-                env.show(7, "Press ESC to reject.")?;
-                let result = env.prompt_line()?;
-                let verdict = match result.termination {
-                    Termination::Enter => Verdict::Confirmed,
-                    Termination::Escape => Verdict::Rejected,
-                    Termination::Timeout => Verdict::Timeout,
-                };
-                (verdict, 0)
-            }
-            ConfirmMode::TypeCode => {
-                let raw = env.get_random(4)?;
-                let code = format!(
-                    "{:06}",
-                    u32::from_be_bytes(raw.try_into().expect("4 bytes")) % 1_000_000
-                );
-                env.show(
-                    6,
-                    &format!("To {}{} then press ENTER.", crate::pal::CODE_MARKER, code),
-                )?;
-                env.show(7, "Press ESC to reject.")?;
-                let mut outcome = (Verdict::Rejected, self.max_code_attempts);
-                for attempt in 1..=self.max_code_attempts {
-                    let result = env.prompt_line()?;
-                    match result.termination {
-                        Termination::Escape => {
-                            outcome = (Verdict::Rejected, attempt);
-                            break;
-                        }
-                        Termination::Timeout => {
-                            outcome = (Verdict::Timeout, attempt);
-                            break;
-                        }
-                        Termination::Enter if result.text == code => {
-                            outcome = (Verdict::Confirmed, attempt);
-                            break;
-                        }
-                        Termination::Enter => {
-                            env.show(9, &format!("Code incorrect ({} used).", attempt))?;
-                        }
-                    }
-                }
-                outcome
-            }
-        };
         let token = ConfirmationToken {
             tx_digest: request.transaction.digest(),
             nonce: request.nonce,
@@ -314,7 +274,7 @@ impl AmortizedClient {
                 &input,
                 &report.output,
                 &key_ct,
-                report.quote.as_ref().expect("attested"),
+                attested_quote(&report)?,
                 &self.enrollment.certificate.to_bytes(),
                 nonce,
             )
@@ -378,8 +338,7 @@ pub struct AmortizedVerifier {
     keys: HashMap<u64, Vec<u8>>,
     next_client_id: u64,
     setup_nonces: HashSet<[u8; 20]>,
-    pending: HashMap<[u8; 20], (Vec<u8>, Duration)>, // nonce -> (tx digest, issued_at)
-    used: HashSet<[u8; 20]>,
+    ledger: NonceLedger,
     nonce_counter: u64,
     /// Accepted confirmations.
     pub accepted: u64,
@@ -408,8 +367,7 @@ impl AmortizedVerifier {
             keys: HashMap::new(),
             next_client_id: 1,
             setup_nonces: HashSet::new(),
-            pending: HashMap::new(),
-            used: HashSet::new(),
+            ledger: NonceLedger::new(DEFAULT_NONCE_TTL),
             nonce_counter: 0,
             accepted: 0,
         }
@@ -482,25 +440,39 @@ impl AmortizedVerifier {
         now: Duration,
     ) -> TransactionRequest {
         let nonce = self.fresh_nonce();
-        self.pending
-            .insert(*nonce.as_bytes(), (tx.digest().as_bytes().to_vec(), now));
-        TransactionRequest {
+        let request = TransactionRequest {
             transaction: tx,
             nonce,
             mode,
-        }
+        };
+        self.ledger.register(
+            &nonce,
+            PendingNonce {
+                request_bytes: request.to_bytes(),
+                transaction: request.transaction.clone(),
+                issued_at: now,
+            },
+        );
+        request
     }
 
-    /// Verifies amortized evidence: MAC under the client's key, nonce
-    /// freshness, transaction binding, verdict.
+    /// Verifies amortized evidence at virtual time `now`: nonce
+    /// freshness, MAC under the client's key, transaction binding, then
+    /// settles the nonce and checks the verdict.
     ///
     /// # Errors
     ///
-    /// [`VerifyError`] variants on any failed check.
+    /// [`VerifyError`] variants on any failed check; as in the base
+    /// verifier, the nonce is consumed on success and on `NotConfirmed`,
+    /// and stays pending on every other failure.
     pub fn verify(
         &mut self,
         evidence: &AmortizedEvidence,
+        now: Duration,
     ) -> Result<ConfirmationToken, VerifyError> {
+        let token = ConfirmationToken::from_bytes(&evidence.token_bytes)
+            .map_err(|_| VerifyError::MalformedEvidence)?;
+        let pending = self.ledger.preflight(&token.nonce, now)?;
         let key = self
             .keys
             .get(&evidence.client_id)
@@ -509,20 +481,10 @@ impl AmortizedVerifier {
         if !utp_crypto::ct::ct_eq(expect.as_bytes(), &evidence.mac) {
             return Err(VerifyError::BadQuote);
         }
-        let token = ConfirmationToken::from_bytes(&evidence.token_bytes)
-            .map_err(|_| VerifyError::MalformedEvidence)?;
-        let nonce_bytes = *token.nonce.as_bytes();
-        if self.used.contains(&nonce_bytes) {
-            return Err(VerifyError::Replayed);
-        }
-        let (tx_digest, _issued_at) = self
-            .pending
-            .remove(&nonce_bytes)
-            .ok_or(VerifyError::UnknownNonce)?;
-        self.used.insert(nonce_bytes);
-        if token.tx_digest.as_bytes().as_slice() != tx_digest.as_slice() {
+        if token.tx_digest != pending.transaction.digest() {
             return Err(VerifyError::TokenMismatch);
         }
+        self.ledger.settle(&token.nonce, now)?;
         if token.verdict != Verdict::Confirmed {
             return Err(VerifyError::NotConfirmed(token.verdict));
         }
@@ -537,6 +499,7 @@ mod tests {
     use crate::ca::PrivacyCa;
     use crate::operator::{ConfirmingHuman, Intent};
     use crate::protocol::Transaction;
+    use utp_platform::keyboard::KeyEvent;
     use utp_platform::machine::MachineConfig;
 
     fn setup_world(seed: u64) -> (AmortizedVerifier, Machine, AmortizedClient) {
@@ -568,7 +531,7 @@ mod tests {
             .confirm_with_report(&mut machine, &request, &mut human)
             .unwrap();
         assert!(report.quote.is_none(), "no quote in amortized mode");
-        let token = verifier.verify(&evidence).unwrap();
+        let token = verifier.verify(&evidence, machine.now()).unwrap();
         assert_eq!(token.tx_digest, tx.digest());
         assert_eq!(verifier.accepted, 1);
     }
@@ -582,10 +545,56 @@ mod tests {
         let (evidence, _) = client
             .confirm_with_report(&mut machine, &request, &mut human)
             .unwrap();
-        verifier.verify(&evidence).unwrap();
+        verifier.verify(&evidence, machine.now()).unwrap();
         assert_eq!(
-            verifier.verify(&evidence).unwrap_err(),
+            verifier.verify(&evidence, machine.now()).unwrap_err(),
             VerifyError::Replayed
+        );
+    }
+
+    #[test]
+    fn evidence_after_the_ttl_is_expired() {
+        let (mut verifier, mut machine, mut client) = setup_world(722);
+        let tx = Transaction::new(2, "shop.example", 100, "EUR", "");
+        let request = verifier.issue_request(tx.clone(), ConfirmMode::PressEnter, machine.now());
+        let mut human = ConfirmingHuman::new(Intent::approving(&tx), 723);
+        let (evidence, _) = client
+            .confirm_with_report(&mut machine, &request, &mut human)
+            .unwrap();
+        machine.advance(DEFAULT_NONCE_TTL + Duration::from_secs(1));
+        assert_eq!(
+            verifier.verify(&evidence, machine.now()).unwrap_err(),
+            VerifyError::Expired
+        );
+    }
+
+    #[test]
+    fn swapped_transaction_leaves_the_nonce_pending() {
+        let (mut verifier, mut machine, mut client) = setup_world(724);
+        let tx = Transaction::new(2, "shop.example", 100, "EUR", "");
+        let request = verifier.issue_request(tx.clone(), ConfirmMode::PressEnter, machine.now());
+        // Malware hands the PAL another transaction under the genuine nonce.
+        let mut swapped = request.clone();
+        swapped.transaction = Transaction::new(2, "attacker.example", 100_000, "EUR", "");
+        let (forged, _) = client
+            .confirm_with_report(
+                &mut machine,
+                &swapped,
+                &mut ScriptedOperator::pressing(KeyEvent::Enter),
+            )
+            .unwrap();
+        assert_eq!(
+            verifier.verify(&forged, machine.now()).unwrap_err(),
+            VerifyError::TokenMismatch
+        );
+        // The genuine confirmation still settles.
+        let mut human = ConfirmingHuman::new(Intent::approving(&tx), 725);
+        let (evidence, _) = client
+            .confirm_with_report(&mut machine, &request, &mut human)
+            .unwrap();
+        assert_eq!(
+            verifier.verify(&evidence, machine.now()).unwrap().tx_digest,
+            tx.digest()
         );
     }
 
@@ -603,7 +612,7 @@ mod tests {
         token.verdict = Verdict::Confirmed;
         evidence.token_bytes = token.to_bytes();
         assert_eq!(
-            verifier.verify(&evidence).unwrap_err(),
+            verifier.verify(&evidence, machine.now()).unwrap_err(),
             VerifyError::BadQuote
         );
     }
@@ -647,7 +656,7 @@ mod tests {
         let (evidence, _) = client
             .confirm_with_report(&mut machine, &request, &mut human)
             .unwrap();
-        verifier.verify(&evidence).unwrap();
+        verifier.verify(&evidence, machine.now()).unwrap();
     }
 
     #[test]

@@ -9,18 +9,24 @@
 //!
 //! The human still sees and answers every transaction individually — the
 //! security story is unchanged; only the session amortization differs.
+//! [`BatchPal`] runs the base PAL's dialogue once per transaction, in the
+//! request's mode; [`BatchVerifier`] settles through the base
+//! [`NonceLedger`] with the base rules and TTL.
 
-use crate::ca::Enrollment;
+use crate::ca::{AikCertificate, Enrollment};
+use crate::client::attested_quote;
 use crate::error::UtpError;
+use crate::pal::{confirm_dialogue, V1_CODE_ATTEMPTS};
 use crate::protocol::{ConfirmMode, Transaction, Verdict, PROTOCOL_VERSION};
-use crate::verifier::{check_quote_chain, VerifyError};
-use std::collections::{HashMap, HashSet};
+use crate::verifier::{
+    check_quote_chain, NonceLedger, PendingNonce, VerifyError, DEFAULT_NONCE_TTL,
+};
 use std::time::Duration;
 use utp_crypto::rsa::RsaPublicKey;
 use utp_crypto::sha1::{Sha1, Sha1Digest};
 use utp_flicker::marshal::{put_bytes, put_u32, Reader};
-use utp_flicker::pal::{Operator, Pal, PalEnv, PalError, Termination};
-use utp_flicker::runtime::{run_pal, AttestSpec, SessionReport};
+use utp_flicker::pal::{Operator, Pal, PalEnv, PalError};
+use utp_flicker::runtime::{io_digest, run_pal, AttestSpec, SessionReport};
 use utp_platform::machine::Machine;
 use utp_tpm::pcr::PcrSelection;
 use utp_tpm::quote::Quote;
@@ -46,10 +52,7 @@ impl BatchRequest {
             put_bytes(&mut buf, &tx.to_bytes());
         }
         buf.extend_from_slice(self.nonce.as_bytes());
-        buf.push(match self.mode {
-            ConfirmMode::PressEnter => 0,
-            ConfirmMode::TypeCode => 1,
-        });
+        buf.push(self.mode.to_u8());
         buf
     }
 
@@ -72,12 +75,11 @@ impl BatchRequest {
                 Transaction::from_bytes(bytes).map_err(|e| UtpError::Protocol(e.to_string()))?,
             );
         }
-        let nonce = Sha1Digest::from_slice(r.take(20).map_err(err)?).expect("20 bytes");
-        let mode = match r.take(1).map_err(err)?[0] {
-            0 => ConfirmMode::PressEnter,
-            1 => ConfirmMode::TypeCode,
-            other => return Err(UtpError::Protocol(format!("bad mode {}", other))),
-        };
+        let nonce = Sha1Digest::from_slice(r.take(20).map_err(err)?)
+            .ok_or_else(|| UtpError::Protocol("bad nonce".into()))?;
+        let mode_byte = r.take(1).map_err(err)?[0];
+        let mode = ConfirmMode::from_u8(mode_byte)
+            .ok_or_else(|| UtpError::Protocol(format!("bad mode {}", mode_byte)))?;
         r.finish().map_err(err)?;
         Ok(BatchRequest {
             transactions,
@@ -105,11 +107,7 @@ impl BatchToken {
         put_u32(&mut buf, self.verdicts.len() as u32);
         for (digest, verdict) in &self.verdicts {
             buf.extend_from_slice(digest.as_bytes());
-            buf.push(match verdict {
-                Verdict::Confirmed => 1,
-                Verdict::Rejected => 2,
-                Verdict::Timeout => 3,
-            });
+            buf.push(verdict.to_u8());
         }
         buf
     }
@@ -128,12 +126,7 @@ impl BatchToken {
         let mut verdicts = Vec::with_capacity(n);
         for _ in 0..n {
             let digest = Sha1Digest::from_slice(r.take(20).ok()?)?;
-            let verdict = match r.take(1).ok()?[0] {
-                1 => Verdict::Confirmed,
-                2 => Verdict::Rejected,
-                3 => Verdict::Timeout,
-                _ => return None,
-            };
+            let verdict = Verdict::from_u8(r.take(1).ok()?[0])?;
             verdicts.push((digest, verdict));
         }
         r.finish().ok()?;
@@ -173,27 +166,10 @@ impl Pal for BatchPal {
         let total = request.transactions.len();
         let mut verdicts = Vec::with_capacity(total);
         for (i, tx) in request.transactions.iter().enumerate() {
-            env.clear_row(0)?;
-            env.show(
-                0,
-                &format!("=== CONFIRM TRANSACTION {} of {} ===", i + 1, total),
-            )?;
-            env.clear_row(2)?;
-            env.show(2, &format!("Pay to : {}", tx.payee))?;
-            env.clear_row(3)?;
-            env.show(3, &format!("Amount : {}", tx.display_amount()))?;
-            env.clear_row(4)?;
-            env.show(4, &format!("Memo   : {}", tx.memo))?;
-            env.clear_row(6)?;
-            env.show(6, "Press ENTER to approve, ESC to reject.")?;
-            let result = env.prompt_line()?;
-            let verdict = match result.termination {
-                Termination::Enter => Verdict::Confirmed,
-                Termination::Escape => Verdict::Rejected,
-                Termination::Timeout => Verdict::Timeout,
-            };
+            let title = format!("=== CONFIRM TRANSACTION {} of {} ===", i + 1, total);
+            let (verdict, _) = confirm_dialogue(env, &title, tx, request.mode, V1_CODE_ATTEMPTS)?;
             verdicts.push((tx.digest(), verdict));
-            if result.termination == Termination::Timeout {
+            if verdict == Verdict::Timeout {
                 // Human gone: mark the rest timed out and stop prompting.
                 for rest in request.transactions.iter().skip(i + 1) {
                     verdicts.push((rest.digest(), Verdict::Timeout));
@@ -253,7 +229,7 @@ impl BatchClient {
         Ok((
             BatchEvidence {
                 token_bytes: report.output.clone(),
-                quote: report.quote.clone().expect("attested"),
+                quote: attested_quote(&report)?.clone(),
                 aik_cert: self.enrollment.certificate.to_bytes(),
             },
             report,
@@ -277,8 +253,7 @@ pub struct BatchEvidence {
 pub struct BatchVerifier {
     ca_key: RsaPublicKey,
     trusted_pal: Sha1Digest,
-    pending: HashMap<[u8; 20], (Vec<u8>, Vec<Sha1Digest>, Duration)>,
-    used: HashSet<[u8; 20]>,
+    ledger: NonceLedger<Vec<Sha1Digest>>,
     nonce_counter: u64,
 }
 
@@ -288,8 +263,7 @@ impl BatchVerifier {
         BatchVerifier {
             ca_key,
             trusted_pal: BatchPal::v1().measurement(),
-            pending: HashMap::new(),
-            used: HashSet::new(),
+            ledger: NonceLedger::new(DEFAULT_NONCE_TTL),
             nonce_counter: 0,
         }
     }
@@ -303,41 +277,42 @@ impl BatchVerifier {
             nonce,
             mode: ConfirmMode::PressEnter,
         };
-        self.pending.insert(
-            *nonce.as_bytes(),
-            (
-                request.to_bytes(),
-                request.transactions.iter().map(|t| t.digest()).collect(),
-                now,
-            ),
+        self.ledger.register(
+            &nonce,
+            PendingNonce {
+                request_bytes: request.to_bytes(),
+                transaction: request
+                    .transactions
+                    .iter()
+                    .map(Transaction::digest)
+                    .collect(),
+                issued_at: now,
+            },
         );
         request
     }
 
-    /// Verifies a batch: CA chain, PCR-17 chain over the batch I/O, nonce,
-    /// and per-transaction verdict alignment. Returns the confirmed
+    /// Verifies a batch at virtual time `now`: nonce freshness, CA
+    /// chain, PCR-17 chain over the batch I/O, and per-transaction verdict
+    /// alignment, then settles the nonce. Returns the confirmed
     /// transaction digests.
     ///
     /// # Errors
     ///
-    /// [`VerifyError`] variants on any failed check.
-    pub fn verify(&mut self, evidence: &BatchEvidence) -> Result<Vec<Sha1Digest>, VerifyError> {
+    /// [`VerifyError`] variants on any failed check; a failed
+    /// certificate, quote or alignment check leaves the nonce pending.
+    pub fn verify(
+        &mut self,
+        evidence: &BatchEvidence,
+        now: Duration,
+    ) -> Result<Vec<Sha1Digest>, VerifyError> {
         let token =
             BatchToken::from_bytes(&evidence.token_bytes).ok_or(VerifyError::MalformedEvidence)?;
-        let nonce_bytes = *token.nonce.as_bytes();
-        if self.used.contains(&nonce_bytes) {
-            return Err(VerifyError::Replayed);
-        }
-        let (request_bytes, expected_digests, _issued_at) = self
-            .pending
-            .get(&nonce_bytes)
-            .ok_or(VerifyError::UnknownNonce)?;
-        let cert = crate::ca::AikCertificate::from_bytes(&evidence.aik_cert)
+        let pending = self.ledger.preflight(&token.nonce, now)?;
+        let aik = AikCertificate::from_bytes(&evidence.aik_cert)
+            .and_then(|cert| cert.validate(&self.ca_key))
             .ok_or(VerifyError::BadCertificate)?;
-        let aik = cert
-            .validate(&self.ca_key)
-            .ok_or(VerifyError::BadCertificate)?;
-        let io = utp_flicker::runtime::io_digest(request_bytes, &evidence.token_bytes);
+        let io = io_digest(&pending.request_bytes, &evidence.token_bytes);
         check_quote_chain(
             &aik,
             &token.nonce,
@@ -346,16 +321,15 @@ impl BatchVerifier {
             &evidence.quote,
         )?;
         // Verdict list must align with the issued batch.
-        if token.verdicts.len() != expected_digests.len() {
+        if !token
+            .verdicts
+            .iter()
+            .map(|(digest, _)| digest)
+            .eq(pending.transaction.iter())
+        {
             return Err(VerifyError::TokenMismatch);
         }
-        for ((digest, _), expected) in token.verdicts.iter().zip(expected_digests.iter()) {
-            if digest != expected {
-                return Err(VerifyError::TokenMismatch);
-            }
-        }
-        let (_, _, _) = self.pending.remove(&nonce_bytes).expect("checked above");
-        self.used.insert(nonce_bytes);
+        self.ledger.settle(&token.nonce, now)?;
         Ok(token
             .verdicts
             .iter()
@@ -434,7 +408,7 @@ mod tests {
             .confirm_batch(&mut machine, &request, &mut op)
             .unwrap();
         assert!(report.quote.is_some());
-        let confirmed = verifier.verify(&evidence).unwrap();
+        let confirmed = verifier.verify(&evidence, machine.now()).unwrap();
         assert_eq!(confirmed.len(), 4);
         for (tx, digest) in transactions.iter().zip(confirmed.iter()) {
             assert_eq!(&tx.digest(), digest);
@@ -463,7 +437,7 @@ mod tests {
         let (evidence, _) = client
             .confirm_batch(&mut machine, &request, &mut op)
             .unwrap();
-        let confirmed = verifier.verify(&evidence).unwrap();
+        let confirmed = verifier.verify(&evidence, machine.now()).unwrap();
         assert_eq!(
             confirmed,
             vec![transactions[0].digest(), transactions[2].digest()]
@@ -480,7 +454,7 @@ mod tests {
         let (evidence, _) = client
             .confirm_batch(&mut machine, &request, &mut op)
             .unwrap();
-        let confirmed = verifier.verify(&evidence).unwrap();
+        let confirmed = verifier.verify(&evidence, machine.now()).unwrap();
         assert_eq!(confirmed, vec![transactions[0].digest()]);
     }
 
@@ -492,9 +466,9 @@ mod tests {
         let (evidence, _) = client
             .confirm_batch(&mut machine, &request, &mut op)
             .unwrap();
-        verifier.verify(&evidence).unwrap();
+        verifier.verify(&evidence, machine.now()).unwrap();
         assert_eq!(
-            verifier.verify(&evidence).unwrap_err(),
+            verifier.verify(&evidence, machine.now()).unwrap_err(),
             VerifyError::Replayed
         );
     }
@@ -513,7 +487,39 @@ mod tests {
             v.1 = Verdict::Confirmed;
         }
         evidence.token_bytes = token.to_bytes();
-        assert!(verifier.verify(&evidence).is_err());
+        assert!(verifier.verify(&evidence, machine.now()).is_err());
+    }
+
+    #[test]
+    fn batch_evidence_after_the_ttl_is_expired() {
+        let (mut verifier, mut machine, mut client) = world(850);
+        let request = verifier.issue_batch(txs(2), machine.now());
+        let mut op = press(KeyEvent::Enter, 2);
+        let (evidence, _) = client
+            .confirm_batch(&mut machine, &request, &mut op)
+            .unwrap();
+        machine.advance(DEFAULT_NONCE_TTL + Duration::from_secs(1));
+        assert_eq!(
+            verifier.verify(&evidence, machine.now()).unwrap_err(),
+            VerifyError::Expired
+        );
+    }
+
+    #[test]
+    fn type_code_batch_is_not_confirmed_by_bare_enter() {
+        let (mut verifier, mut machine, mut client) = world(860);
+        let mut request = verifier.issue_batch(txs(2), machine.now());
+        request.mode = ConfirmMode::TypeCode;
+        // Enter without the code, for every attempt of both transactions.
+        let mut op = press(KeyEvent::Enter, 2 * V1_CODE_ATTEMPTS as usize);
+        let (evidence, _) = client
+            .confirm_batch(&mut machine, &request, &mut op)
+            .unwrap();
+        let token = BatchToken::from_bytes(&evidence.token_bytes).unwrap();
+        assert_eq!(token.verdicts.len(), 2);
+        assert!(token.verdicts.iter().all(|(_, v)| *v == Verdict::Rejected));
+        let screen = &op.observed_screens[0];
+        assert!(screen.iter().any(|r| r.contains(crate::pal::CODE_MARKER)));
     }
 
     #[test]

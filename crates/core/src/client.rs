@@ -14,6 +14,7 @@ use utp_flicker::pal::Operator;
 use utp_flicker::runtime::{run_pal, AttestSpec, SessionReport};
 use utp_platform::machine::Machine;
 use utp_tpm::pcr::PcrSelection;
+use utp_tpm::quote::Quote;
 
 /// Client configuration.
 #[derive(Debug, Clone)]
@@ -90,14 +91,21 @@ impl Client {
                 selection: PcrSelection::drtm_only(),
             }),
         )?;
-        let quote = report.quote.clone().expect("attestation was requested");
         let evidence = Evidence {
             token_bytes: report.output.clone(),
-            quote,
+            quote: attested_quote(&report)?.clone(),
             aik_cert: self.enrollment.certificate.to_bytes(),
         };
         Ok((evidence, report))
     }
+}
+
+/// The quote of a session run with an [`AttestSpec`], or a protocol error.
+pub(crate) fn attested_quote(report: &SessionReport) -> Result<&Quote, UtpError> {
+    report
+        .quote
+        .as_ref()
+        .ok_or_else(|| UtpError::Protocol("attested session returned no quote".into()))
 }
 
 #[cfg(test)]

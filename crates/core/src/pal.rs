@@ -7,8 +7,12 @@
 //! [`ConfirmationToken`] which the runtime binds into PCR 17 before
 //! quoting. Its size is the paper's TCB argument (experiment E7): a few
 //! hundred lines versus millions in the OS + browser.
+//!
+//! The batch and amortized PALs run this file's dialogue too
+//! (`confirm_dialogue`); only their input parsing and key handling are
+//! their own.
 
-use crate::protocol::{ConfirmMode, ConfirmationToken, TransactionRequest, Verdict};
+use crate::protocol::{ConfirmMode, ConfirmationToken, Transaction, TransactionRequest, Verdict};
 use std::time::Duration;
 use utp_flicker::pal::{Pal, PalEnv, PalError, Termination};
 
@@ -42,7 +46,7 @@ impl ConfirmationPal {
     /// The canonical v1 release (3 code attempts) whose measurement
     /// providers pin.
     pub fn v1() -> Self {
-        Self::with_attempts(3)
+        Self::with_attempts(V1_CODE_ATTEMPTS)
     }
 
     /// A variant with a different attempt limit (a *different* PAL).
@@ -62,67 +66,94 @@ impl ConfirmationPal {
     pub fn measurement(&self) -> utp_crypto::sha1::Sha1Digest {
         utp_crypto::sha1::Sha1::digest(&self.image)
     }
+}
 
-    /// Renders the transaction screen.
-    fn render(&self, env: &mut PalEnv<'_, '_>, req: &TransactionRequest) -> Result<(), PalError> {
-        env.show(ROW_TITLE, "=== TRUSTED TRANSACTION CONFIRMATION ===")?;
-        env.show(ROW_PAYEE, &format!("Pay to : {}", req.transaction.payee))?;
-        env.show(
-            ROW_AMOUNT,
-            &format!("Amount : {}", req.transaction.display_amount()),
-        )?;
-        env.show(ROW_MEMO, &format!("Memo   : {}", req.transaction.memo))?;
-        Ok(())
+/// Code-entry attempts of every v1 PAL build (base, batch, amortized).
+pub(crate) const V1_CODE_ATTEMPTS: u32 = 3;
+
+/// The dialogue every PAL variant runs: renders `tx` under `title`, then
+/// returns the verdict and the code attempts used (0 for press-enter).
+/// Rows are cleared before they are written, so the batch PAL can reuse
+/// one screen.
+pub(crate) fn confirm_dialogue(
+    env: &mut PalEnv<'_, '_>,
+    title: &str,
+    tx: &Transaction,
+    mode: ConfirmMode,
+    max_code_attempts: u32,
+) -> Result<(Verdict, u32), PalError> {
+    show_row(env, ROW_TITLE, title)?;
+    show_row(env, ROW_PAYEE, &format!("Pay to : {}", tx.payee))?;
+    show_row(
+        env,
+        ROW_AMOUNT,
+        &format!("Amount : {}", tx.display_amount()),
+    )?;
+    show_row(env, ROW_MEMO, &format!("Memo   : {}", tx.memo))?;
+    env.clear_row(ROW_STATUS)?;
+    match mode {
+        ConfirmMode::PressEnter => run_press_enter(env),
+        ConfirmMode::TypeCode => run_type_code(env, max_code_attempts),
     }
+}
 
-    /// Draws a fresh 6-digit code from TPM randomness.
-    fn fresh_code(&self, env: &mut PalEnv<'_, '_>) -> Result<String, PalError> {
-        let raw = env.get_random(4)?;
-        let n = raw.iter().fold(0u32, |acc, &b| (acc << 8) | u32::from(b));
-        Ok(format!("{:06}", n % 1_000_000))
-    }
+/// Replaces the contents of one display row.
+fn show_row(env: &mut PalEnv<'_, '_>, row: usize, text: &str) -> Result<(), PalError> {
+    env.clear_row(row)?;
+    env.show(row, text)
+}
 
-    fn run_press_enter(&self, env: &mut PalEnv<'_, '_>) -> Result<(Verdict, u32), PalError> {
-        env.show(ROW_PROMPT, "Press ENTER to approve this transaction.")?;
-        env.show(ROW_PROMPT2, "Press ESC to reject.")?;
+/// Draws a fresh 6-digit code from TPM randomness.
+fn fresh_code(env: &mut PalEnv<'_, '_>) -> Result<String, PalError> {
+    let raw = env.get_random(4)?;
+    let n = raw.iter().fold(0u32, |acc, &b| (acc << 8) | u32::from(b));
+    Ok(format!("{:06}", n % 1_000_000))
+}
+
+fn run_press_enter(env: &mut PalEnv<'_, '_>) -> Result<(Verdict, u32), PalError> {
+    show_row(env, ROW_PROMPT, "Press ENTER to approve this transaction.")?;
+    show_row(env, ROW_PROMPT2, "Press ESC to reject.")?;
+    let result = env.prompt_line()?;
+    let verdict = match result.termination {
+        Termination::Enter => Verdict::Confirmed,
+        Termination::Escape => Verdict::Rejected,
+        Termination::Timeout => Verdict::Timeout,
+    };
+    Ok((verdict, 0))
+}
+
+fn run_type_code(
+    env: &mut PalEnv<'_, '_>,
+    max_code_attempts: u32,
+) -> Result<(Verdict, u32), PalError> {
+    let code = fresh_code(env)?;
+    show_row(
+        env,
+        ROW_PROMPT,
+        &format!("To {}{} then press ENTER.", CODE_MARKER, code),
+    )?;
+    show_row(env, ROW_PROMPT2, "Press ESC to reject.")?;
+    for attempt in 1..=max_code_attempts {
         let result = env.prompt_line()?;
-        let verdict = match result.termination {
-            Termination::Enter => Verdict::Confirmed,
-            Termination::Escape => Verdict::Rejected,
-            Termination::Timeout => Verdict::Timeout,
-        };
-        Ok((verdict, 0))
-    }
-
-    fn run_type_code(&self, env: &mut PalEnv<'_, '_>) -> Result<(Verdict, u32), PalError> {
-        let code = self.fresh_code(env)?;
-        env.show(
-            ROW_PROMPT,
-            &format!("To {}{} then press ENTER.", CODE_MARKER, code),
-        )?;
-        env.show(ROW_PROMPT2, "Press ESC to reject.")?;
-        for attempt in 1..=self.max_code_attempts {
-            let result = env.prompt_line()?;
-            match result.termination {
-                Termination::Escape => return Ok((Verdict::Rejected, attempt)),
-                Termination::Timeout => return Ok((Verdict::Timeout, attempt)),
-                Termination::Enter => {
-                    if result.text == code {
-                        return Ok((Verdict::Confirmed, attempt));
-                    }
-                    env.clear_row(ROW_STATUS)?;
-                    env.show(
-                        ROW_STATUS,
-                        &format!(
-                            "Code incorrect ({} of {} attempts used).",
-                            attempt, self.max_code_attempts
-                        ),
-                    )?;
+        match result.termination {
+            Termination::Escape => return Ok((Verdict::Rejected, attempt)),
+            Termination::Timeout => return Ok((Verdict::Timeout, attempt)),
+            Termination::Enter => {
+                if result.text == code {
+                    return Ok((Verdict::Confirmed, attempt));
                 }
+                show_row(
+                    env,
+                    ROW_STATUS,
+                    &format!(
+                        "Code incorrect ({} of {} attempts used).",
+                        attempt, max_code_attempts
+                    ),
+                )?;
             }
         }
-        Ok((Verdict::Rejected, self.max_code_attempts))
     }
+    Ok((Verdict::Rejected, max_code_attempts))
 }
 
 impl Pal for ConfirmationPal {
@@ -135,11 +166,13 @@ impl Pal for ConfirmationPal {
             .map_err(|e| PalError::Failed(format!("bad request: {}", e)))?;
         // Model the PAL's own compute (parse + render + hash): ~1 ms.
         env.compute(Duration::from_millis(1));
-        self.render(env, &req)?;
-        let (verdict, attempts) = match req.mode {
-            ConfirmMode::PressEnter => self.run_press_enter(env)?,
-            ConfirmMode::TypeCode => self.run_type_code(env)?,
-        };
+        let (verdict, attempts) = confirm_dialogue(
+            env,
+            "=== TRUSTED TRANSACTION CONFIRMATION ===",
+            &req.transaction,
+            req.mode,
+            self.max_code_attempts,
+        )?;
         let token = ConfirmationToken {
             tx_digest: req.transaction.digest(),
             nonce: req.nonce,
@@ -154,7 +187,7 @@ impl Pal for ConfirmationPal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{Transaction, CODE_LEN};
+    use crate::protocol::CODE_LEN;
     use utp_crypto::sha1::Sha1;
     use utp_flicker::pal::{OperatorResponse, ScriptedOperator};
     use utp_flicker::runtime::run_pal;

@@ -123,14 +123,14 @@ pub enum ConfirmMode {
 }
 
 impl ConfirmMode {
-    fn to_u8(self) -> u8 {
+    pub(crate) fn to_u8(self) -> u8 {
         match self {
             ConfirmMode::PressEnter => 0,
             ConfirmMode::TypeCode => 1,
         }
     }
 
-    fn from_u8(v: u8) -> Option<Self> {
+    pub(crate) fn from_u8(v: u8) -> Option<Self> {
         match v {
             0 => Some(ConfirmMode::PressEnter),
             1 => Some(ConfirmMode::TypeCode),
@@ -191,7 +191,7 @@ pub enum Verdict {
 }
 
 impl Verdict {
-    fn to_u8(self) -> u8 {
+    pub(crate) fn to_u8(self) -> u8 {
         match self {
             Verdict::Confirmed => 1,
             Verdict::Rejected => 2,
@@ -199,7 +199,7 @@ impl Verdict {
         }
     }
 
-    fn from_u8(v: u8) -> Option<Self> {
+    pub(crate) fn from_u8(v: u8) -> Option<Self> {
         match v {
             1 => Some(Verdict::Confirmed),
             2 => Some(Verdict::Rejected),

@@ -77,6 +77,11 @@ impl fmt::Display for VerifyError {
 
 impl Error for VerifyError {}
 
+/// How long an issued nonce stays valid (virtual time): the default
+/// [`VerifierConfig::nonce_ttl`], and the fixed lifetime of batch and
+/// amortized nonces.
+pub const DEFAULT_NONCE_TTL: Duration = Duration::from_secs(300);
+
 /// Verifier policy knobs.
 #[derive(Debug, Clone)]
 pub struct VerifierConfig {
@@ -93,7 +98,7 @@ impl Default for VerifierConfig {
         let mut trusted_pals = HashSet::new();
         trusted_pals.insert(crate::pal::ConfirmationPal::v1().measurement());
         VerifierConfig {
-            nonce_ttl: Duration::from_secs(300),
+            nonce_ttl: DEFAULT_NONCE_TTL,
             trusted_pals,
             default_mode: ConfirmMode::TypeCode,
         }
@@ -124,12 +129,15 @@ pub struct VerifierStats {
 
 /// An issued-but-unsettled confirmation request, as the settlement ledger
 /// tracks it.
+///
+/// `T` is what awaits confirmation: a [`Transaction`], or the digests of
+/// a batch's transactions.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PendingNonce {
+pub struct PendingNonce<T = Transaction> {
     /// Canonical bytes of the issued request (the PAL's exact input).
     pub request_bytes: Vec<u8>,
-    /// The transaction awaiting confirmation.
-    pub transaction: Transaction,
+    /// What awaits confirmation.
+    pub transaction: T,
     /// Virtual time the request was issued.
     pub issued_at: Duration,
 }
@@ -149,14 +157,17 @@ pub struct PendingNonce {
 /// duplicate submission loses the settle race and is reported as
 /// [`VerifyError::Replayed`] — exactly one of N racing duplicates can
 /// settle.
+///
+/// The base, server, batch and amortized verifiers all settle through
+/// it, so the replay, unknown and expiry rules exist once.
 #[derive(Debug, Clone, Default)]
-pub struct NonceLedger {
+pub struct NonceLedger<T = Transaction> {
     ttl: Duration,
-    pending: HashMap<[u8; 20], PendingNonce>,
+    pending: HashMap<[u8; 20], PendingNonce<T>>,
     used: HashSet<[u8; 20]>,
 }
 
-impl NonceLedger {
+impl<T: Clone> NonceLedger<T> {
     /// An empty ledger whose nonces expire after `ttl` of virtual time.
     pub fn new(ttl: Duration) -> Self {
         NonceLedger {
@@ -182,7 +193,7 @@ impl NonceLedger {
     }
 
     /// Records an issued request under its nonce.
-    pub fn register(&mut self, nonce: &Sha1Digest, pending: PendingNonce) {
+    pub fn register(&mut self, nonce: &Sha1Digest, pending: PendingNonce<T>) {
         self.pending.insert(*nonce.as_bytes(), pending);
     }
 
@@ -195,7 +206,7 @@ impl NonceLedger {
 
     /// Iterates the outstanding (issued, unsettled) entries — snapshot
     /// support. Iteration order is unspecified.
-    pub fn pending_entries(&self) -> impl Iterator<Item = (&[u8; 20], &PendingNonce)> {
+    pub fn pending_entries(&self) -> impl Iterator<Item = (&[u8; 20], &PendingNonce<T>)> {
         self.pending.iter()
     }
 
@@ -219,7 +230,7 @@ impl NonceLedger {
         &mut self,
         nonce: &Sha1Digest,
         now: Duration,
-    ) -> Result<PendingNonce, VerifyError> {
+    ) -> Result<PendingNonce<T>, VerifyError> {
         let key = *nonce.as_bytes();
         if self.used.contains(&key) {
             return Err(VerifyError::Replayed);
@@ -246,7 +257,7 @@ impl NonceLedger {
         &mut self,
         nonce: &Sha1Digest,
         now: Duration,
-    ) -> Result<PendingNonce, VerifyError> {
+    ) -> Result<PendingNonce<T>, VerifyError> {
         let key = *nonce.as_bytes();
         if self.used.contains(&key) {
             return Err(VerifyError::Replayed);

@@ -43,7 +43,9 @@ fn main() {
         let (evidence, report) = client
             .confirm_with_report(&mut machine, &request, &mut human)
             .expect("amortized session runs");
-        amortized.verify(&evidence).expect("MAC verifies");
+        amortized
+            .verify(&evidence, machine.now())
+            .expect("MAC verifies");
         println!(
             "[bank] transfer {} to {} confirmed — {:.0} ms machine time, no quote",
             tx.display_amount(),
@@ -80,7 +82,9 @@ fn main() {
     let (evidence, report) = batch_client
         .confirm_batch(&mut machine, &request, &mut ApproveAll)
         .expect("batch session runs");
-    let confirmed = batch_verifier.verify(&evidence).expect("batch verifies");
+    let confirmed = batch_verifier
+        .verify(&evidence, machine.now())
+        .expect("batch verifies");
     println!(
         "[bank] {} of {} standing orders confirmed in one session",
         confirmed.len(),

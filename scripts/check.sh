@@ -11,8 +11,8 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo doc --no-deps (rustdoc warnings, including broken intra-doc links, are errors)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings, including broken intra-doc links, are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 echo "==> utp-analyze (findings + TCB baseline + dataflow coverage + authz spec gate)"
 mkdir -p target

@@ -5,7 +5,7 @@
 //! [`proptest!`] macro, [`strategy::Strategy`] with `prop_map`, tuple and
 //! range strategies, a single-character-class regex strategy for string
 //! literals, `collection::vec`, `char::range`, `sample::Index`,
-//! [`prop_oneof!`] and [`Just`]. Cases are *generated* deterministically
+//! [`prop_oneof!`] and [`Just`](strategy::Just). Cases are *generated* deterministically
 //! but never *shrunk*; on failure the macro prints the offending inputs
 //! and case number instead.
 

@@ -49,7 +49,7 @@ fn all_three_protocols_coexist_on_one_machine() {
     let (evidence, _) = aclient
         .confirm_with_report(&mut machine, &request, &mut human)
         .unwrap();
-    amortized.verify(&evidence).unwrap();
+    amortized.verify(&evidence, machine.now()).unwrap();
 
     // Batch protocol on the same machine/TPM.
     let mut batch_verifier = BatchVerifier::new(ca.public_key().clone());
@@ -61,7 +61,13 @@ fn all_three_protocols_coexist_on_one_machine() {
     let (evidence, _) = bclient
         .confirm_batch(&mut machine, &request, &mut ApproveAll)
         .unwrap();
-    assert_eq!(batch_verifier.verify(&evidence).unwrap().len(), 3);
+    assert_eq!(
+        batch_verifier
+            .verify(&evidence, machine.now())
+            .unwrap()
+            .len(),
+        3
+    );
 
     // Five DRTM launches total: base, setup, amortized-confirm, batch...
     assert_eq!(machine.skinit_count(), 4);
@@ -95,7 +101,7 @@ fn amortized_key_survives_interleaved_other_pals() {
     let (evidence, _) = aclient
         .confirm_with_report(&mut machine, &request, &mut human)
         .unwrap();
-    amortized.verify(&evidence).unwrap();
+    amortized.verify(&evidence, machine.now()).unwrap();
 }
 
 #[test]
@@ -120,10 +126,10 @@ fn amortized_evidence_cannot_cross_clients() {
     // Claim the evidence came from client B.
     let a_id = evidence.client_id;
     evidence.client_id = a_id % 2 + 1; // the *other* registered id
-    assert!(amortized.verify(&evidence).is_err());
+    assert!(amortized.verify(&evidence, machine_a.now()).is_err());
     // Restored, it verifies.
     evidence.client_id = a_id;
-    amortized.verify(&evidence).unwrap();
+    amortized.verify(&evidence, machine_a.now()).unwrap();
 }
 
 #[test]
@@ -138,7 +144,10 @@ fn batch_of_one_equals_base_semantics() {
     let (evidence, _) = bclient
         .confirm_batch(&mut machine, &request, &mut ApproveAll)
         .unwrap();
-    assert_eq!(batch_verifier.verify(&evidence).unwrap(), vec![tx.digest()]);
+    assert_eq!(
+        batch_verifier.verify(&evidence, machine.now()).unwrap(),
+        vec![tx.digest()]
+    );
 }
 
 #[test]
