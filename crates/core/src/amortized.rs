@@ -399,7 +399,8 @@ impl AmortizedVerifier {
     ///
     /// # Errors
     ///
-    /// [`VerifyError`] variants on any failed check.
+    /// [`VerifyError`] variants on any failed check; the setup nonce is
+    /// consumed on success and stays issued on every failure.
     pub fn register(
         &mut self,
         setup_input: &[u8],
@@ -409,7 +410,9 @@ impl AmortizedVerifier {
         aik_cert: &[u8],
         nonce: Sha1Digest,
     ) -> Result<u64, VerifyError> {
-        if !self.setup_nonces.remove(nonce.as_bytes()) {
+        // The nonce is spent only by a registration that succeeds, so a
+        // forged setup quote cannot burn the genuine client's challenge.
+        if !self.setup_nonces.contains(nonce.as_bytes()) {
             return Err(VerifyError::UnknownNonce);
         }
         let cert =
@@ -426,6 +429,7 @@ impl AmortizedVerifier {
         if key.len() != 32 {
             return Err(VerifyError::MalformedEvidence);
         }
+        self.setup_nonces.remove(nonce.as_bytes());
         let id = self.next_client_id;
         self.next_client_id += 1;
         self.keys.insert(id, key);
@@ -691,13 +695,36 @@ mod tests {
         assert_eq!(verifier.clients(), 0);
     }
 
-    #[test]
-    fn setup_quote_with_forged_signature_is_a_bad_quote() {
-        // The genuine PAL ran (PCR 17 matches), but one signature bit is
-        // flipped: that is a forged quote, not an untrusted PAL.
-        let ca = PrivacyCa::new(512, 770);
-        let mut verifier = AmortizedVerifier::new(ca.public_key().clone(), 512, 771);
-        let mut machine = Machine::new(MachineConfig::fast_for_tests(772));
+    /// A genuine setup session's registration arguments, as a client
+    /// would submit them.
+    #[derive(Clone)]
+    struct SetupRun {
+        input: Vec<u8>,
+        output: Vec<u8>,
+        key_ct: Vec<u8>,
+        quote: utp_tpm::quote::Quote,
+        cert: Vec<u8>,
+        nonce: Sha1Digest,
+    }
+
+    impl SetupRun {
+        fn register(&self, verifier: &mut AmortizedVerifier) -> Result<u64, VerifyError> {
+            verifier.register(
+                &self.input,
+                &self.output,
+                &self.key_ct,
+                &self.quote,
+                &self.cert,
+                self.nonce,
+            )
+        }
+    }
+
+    /// Runs the genuine setup PAL against a fresh verifier's setup nonce.
+    fn genuine_setup_run(seed: u64) -> (AmortizedVerifier, SetupRun) {
+        let ca = PrivacyCa::new(512, seed);
+        let mut verifier = AmortizedVerifier::new(ca.public_key().clone(), 512, seed + 1);
+        let mut machine = Machine::new(MachineConfig::fast_for_tests(seed + 2));
         let enrollment = ca.enroll(&mut machine);
         let nonce = verifier.issue_setup_nonce();
         let mut input = vec![INPUT_TAG_SETUP];
@@ -716,20 +743,41 @@ mod tests {
         .unwrap();
         let mut r = Reader::new(&report.output);
         let key_ct = r.bytes().unwrap().to_vec();
-        let mut quote = report.quote.clone().unwrap();
-        quote.signature[0] ^= 1;
-        let err = verifier
-            .register(
-                &input,
-                &report.output,
-                &key_ct,
-                &quote,
-                &enrollment.certificate.to_bytes(),
-                nonce,
-            )
-            .unwrap_err();
-        assert_eq!(err, VerifyError::BadQuote);
+        let run = SetupRun {
+            input,
+            key_ct,
+            quote: report.quote.clone().unwrap(),
+            output: report.output,
+            cert: enrollment.certificate.to_bytes(),
+            nonce,
+        };
+        (verifier, run)
+    }
+
+    #[test]
+    fn setup_quote_with_forged_signature_is_a_bad_quote() {
+        // The genuine PAL ran (PCR 17 matches), but one signature bit is
+        // flipped: that is a forged quote, not an untrusted PAL.
+        let (mut verifier, mut run) = genuine_setup_run(770);
+        run.quote.signature[0] ^= 1;
+        assert_eq!(run.register(&mut verifier), Err(VerifyError::BadQuote));
         assert_eq!(verifier.clients(), 0);
+    }
+
+    #[test]
+    fn forged_setup_quote_leaves_the_nonce_to_the_genuine_quote() {
+        let (mut verifier, genuine) = genuine_setup_run(780);
+        let mut forged = genuine.clone();
+        forged.quote.signature[0] ^= 1;
+        assert_eq!(forged.register(&mut verifier), Err(VerifyError::BadQuote));
+        let registered = genuine.register(&mut verifier);
+        assert!(registered.is_ok(), "{registered:?}");
+        assert_eq!(verifier.clients(), 1);
+        // Success spends the nonce.
+        assert_eq!(
+            genuine.register(&mut verifier),
+            Err(VerifyError::UnknownNonce)
+        );
     }
 
     #[test]

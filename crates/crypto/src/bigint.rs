@@ -9,8 +9,9 @@
 //! Every modular exponentiation — [`BigUint::mod_pow`], RSA sign, verify
 //! and decrypt, and the Miller–Rabin witnesses — runs through one
 //! Montgomery context (`Montgomery`): a fixed-width, division-free,
-//! allocation-free CIOS multiply under a square-and-multiply loop for
-//! short (public) exponents and, for long ones, a 4-bit window whose
+//! allocation-free FIOS multiply and a dedicated squaring, specialised
+//! to 8 and 16 limbs, under a square-and-multiply loop for short
+//! (public) exponents and, for long ones, a 4-bit window whose
 //! multiplies and table reads do not depend on the exponent's digits.
 
 use std::cmp::Ordering;
@@ -537,10 +538,25 @@ impl BigUint {
 /// division*, Math. Comp. 1985).
 ///
 /// A value `x` in Montgomery form is `x·R mod n`, held in exactly `L`
-/// limbs. [`Montgomery::mul`] is the CIOS loop of Koç, Acar and Kaliski
-/// (IEEE Micro 1996): it interleaves the product with the reduction one
-/// limb at a time, never divides, allocates nothing and ends in a masked
-/// final subtraction.
+/// limbs. Two kernels work on such values. Neither divides or
+/// allocates, neither branches on or indexes by an operand's value, and
+/// both end in the same masked final subtraction:
+///
+/// * [`Montgomery::mul`] is the FIOS loop of Koç, Acar and Kaliski
+///   (IEEE Micro 1996). Each pass over a limb `b[i]` takes the reduction
+///   factor `m` from the first column, then adds `a[j]·b[i]` and
+///   `m·n[j]` in one inner step, each on its own carry chain, and
+///   shifts down by a limb.
+/// * [`Montgomery::sqr`] forms the `2L`-limb square from its
+///   `L(L−1)/2` cross products, doubled, plus the `L` diagonal squares,
+///   and then reduces it a limb at a time: `½L² + L` limb products
+///   before an `L²` reduction, where a multiply runs `2L²`.
+///
+/// Each kernel is written once, as an `#[inline(always)]` body taking
+/// the limb count. Its entry point passes the literal 8 or 16 when `L`
+/// is one of those (the 512-bit CRT primes and the 1024-bit moduli), so
+/// the compiler sees constant trip counts there, and `L` itself
+/// otherwise.
 ///
 /// For the CRT primes of an RSA key the modulus is secret, so the
 /// context deliberately has no `Debug`.
@@ -589,54 +605,125 @@ impl Montgomery {
         self.n.limbs.len()
     }
 
+    /// A scratch buffer for [`Montgomery::mul`] and [`Montgomery::sqr`]:
+    /// `2L` limbs.
+    pub(crate) fn scratch(&self) -> Vec<u64> {
+        vec![0u64; 2 * self.len()]
+    }
+
     /// `out = a·b·R⁻¹ mod n`, fully reduced.
     ///
-    /// `a`, `b` and `out` have `L` limbs and `scratch` at least `L + 2`;
+    /// `a`, `b` and `out` have `L` limbs and `scratch` at least `2L`;
     /// `a < R` and `b < n`, which every Montgomery-form value satisfies.
     pub(crate) fn mul(&self, a: &[u64], b: &[u64], out: &mut [u64], scratch: &mut [u64]) {
         #[cfg(test)]
         tests::count_mul();
-        let len = self.len();
+        match self.len() {
+            8 => self.mul_kernel(a, b, out, scratch, 8),
+            16 => self.mul_kernel(a, b, out, scratch, 16),
+            len => self.mul_kernel(a, b, out, scratch, len),
+        }
+    }
+
+    /// `out = a²·R⁻¹ mod n`, fully reduced: the value
+    /// [`Montgomery::mul`]`(a, a)` gives, for about ¾ of its limb
+    /// products.
+    ///
+    /// `a` and `out` have `L` limbs and `scratch` at least `2L`; `a < n`,
+    /// which every Montgomery-form value satisfies.
+    pub(crate) fn sqr(&self, a: &[u64], out: &mut [u64], scratch: &mut [u64]) {
+        #[cfg(test)]
+        tests::count_sqr();
+        match self.len() {
+            8 => self.sqr_kernel(a, out, scratch, 8),
+            16 => self.sqr_kernel(a, out, scratch, 16),
+            len => self.sqr_kernel(a, out, scratch, len),
+        }
+    }
+
+    /// The FIOS multiply of [`Montgomery::mul`] at `len = L` limbs.
+    #[inline(always)]
+    fn mul_kernel(&self, a: &[u64], b: &[u64], out: &mut [u64], scratch: &mut [u64], len: usize) {
         let n = &self.n.limbs[..len];
-        let t = &mut scratch[..len + 2];
+        let a = &a[..len];
+        let t = &mut scratch[..len + 1];
         t.fill(0);
         for &bi in &b[..len] {
-            // t += a·bi
-            let mut carry = 0u64;
-            for (tj, &aj) in t.iter_mut().zip(&a[..len]) {
-                let v = *tj as u128 + aj as u128 * bi as u128 + carry as u128;
-                *tj = v as u64;
-                carry = (v >> 64) as u64;
-            }
-            let v = t[len] as u128 + carry as u128;
-            t[len] = v as u64;
-            t[len + 1] = (v >> 64) as u64;
-            // t = (t + m·n) / 2⁶⁴, where m makes the low limb vanish.
-            let m = t[0].wrapping_mul(self.n_prime);
-            let mut carry = ((t[0] as u128 + m as u128 * n[0] as u128) >> 64) as u64;
-            for (j, &nj) in n.iter().enumerate().skip(1) {
-                let v = t[j] as u128 + m as u128 * nj as u128 + carry as u128;
+            // Column 0 fixes m, the multiple of n that clears the low
+            // limb of t + a·bi; that limb is dropped, so only its two
+            // carries go on.
+            let v = t[0] as u128 + a[0] as u128 * bi as u128;
+            let m = (v as u64).wrapping_mul(self.n_prime);
+            let mut carry_ab = (v >> 64) as u64;
+            let mut carry_mn = ((v as u64 as u128 + m as u128 * n[0] as u128) >> 64) as u64;
+            // t = (t + a·bi + m·n) / 2⁶⁴, the two products on two carries.
+            for j in 1..len {
+                let v = t[j] as u128 + a[j] as u128 * bi as u128 + carry_ab as u128;
+                carry_ab = (v >> 64) as u64;
+                let v = v as u64 as u128 + m as u128 * n[j] as u128 + carry_mn as u128;
+                carry_mn = (v >> 64) as u64;
                 t[j - 1] = v as u64;
+            }
+            // t < R + n throughout, so the top limb stays 0 or 1.
+            let v = t[len] as u128 + carry_ab as u128 + carry_mn as u128;
+            t[len - 1] = v as u64;
+            t[len] = (v >> 64) as u64;
+        }
+        let (t, top) = t.split_at(len);
+        subtract_n_masked(t, top[0], n, &mut out[..len]);
+    }
+
+    /// The squaring of [`Montgomery::sqr`] at `len = L` limbs.
+    #[inline(always)]
+    fn sqr_kernel(&self, a: &[u64], out: &mut [u64], scratch: &mut [u64], len: usize) {
+        let n = &self.n.limbs[..len];
+        let a = &a[..len];
+        let t = &mut scratch[..2 * len];
+        t.fill(0);
+        // The cross products a[i]·a[j], i < j, each once: row i adds
+        // a[i]·a[i+1..] at t[2i+1..] and sets the limb above it.
+        for (i, &ai) in a.iter().enumerate() {
+            let mut carry = 0u64;
+            for (tk, &aj) in t[2 * i + 1..i + len].iter_mut().zip(&a[i + 1..]) {
+                let v = *tk as u128 + ai as u128 * aj as u128 + carry as u128;
+                *tk = v as u64;
                 carry = (v >> 64) as u64;
             }
-            let v = t[len] as u128 + carry as u128;
-            t[len - 1] = v as u64;
-            t[len] = t[len + 1] + (v >> 64) as u64;
+            t[i + len] = carry;
         }
-        // Now t < 2n, so t[len] is 0 or 1. Compute t − n and keep it when
-        // t ≥ n — when t[len] is set or the low limbs did not borrow —
-        // under a mask rather than a branch.
-        let mut borrow = 0u64;
-        for ((o, &tj), &nj) in out.iter_mut().zip(t.iter()).zip(n) {
-            let (d1, b1) = tj.overflowing_sub(nj);
-            let (d2, b2) = d1.overflowing_sub(borrow);
-            *o = d2;
-            borrow = (b1 | b2) as u64;
+        // t = 2t + Σ a[i]²·2^(128i): shift each limb pair up a bit and
+        // add the diagonal square that lands on it.
+        let mut shifted_out = 0u64;
+        let mut carry = 0u64;
+        for (pair, &ai) in t.chunks_exact_mut(2).zip(a) {
+            let sq = ai as u128 * ai as u128;
+            let lo = (pair[0] << 1) | shifted_out;
+            let hi = (pair[1] << 1) | (pair[0] >> 63);
+            shifted_out = pair[1] >> 63;
+            let v = lo as u128 + (sq as u64) as u128 + carry as u128;
+            pair[0] = v as u64;
+            let v = hi as u128 + (sq >> 64) + (v >> 64);
+            pair[1] = v as u64;
+            carry = (v >> 64) as u64;
         }
-        let keep_diff = (t[len] | (borrow ^ 1)).wrapping_neg();
-        for (o, &tj) in out.iter_mut().zip(t.iter()) {
-            *o = (*o & keep_diff) | (tj & !keep_diff);
+        // t = (t + M·n) / R, one limb of M at a time: each m clears the
+        // lowest limb still in play. The carry out of the top limb is
+        // `top`; t stays below 2R², so it is 0 or 1.
+        let mut top = 0u64;
+        for i in 0..len {
+            let (low, high) = t[i..].split_at_mut(len);
+            let m = low[0].wrapping_mul(self.n_prime);
+            let mut carry = 0u64;
+            for (tk, &nj) in low.iter_mut().zip(n) {
+                let v = *tk as u128 + m as u128 * nj as u128 + carry as u128;
+                *tk = v as u64;
+                carry = (v >> 64) as u64;
+            }
+            let v = high[0] as u128 + carry as u128 + top as u128;
+            high[0] = v as u64;
+            top = (v >> 64) as u64;
         }
+        subtract_n_masked(&t[len..], top, n, &mut out[..len]);
     }
 
     /// `x` in Montgomery form; `x` may be any size.
@@ -648,7 +735,7 @@ impl Montgomery {
             x.limbs_padded(len)
         };
         let mut out = vec![0u64; len];
-        self.mul(&x, &self.rr, &mut out, &mut vec![0u64; len + 2]);
+        self.mul(&x, &self.rr, &mut out, &mut self.scratch());
         out
     }
 
@@ -660,7 +747,7 @@ impl Montgomery {
             x,
             &BigUint::one().limbs_padded(len),
             &mut out,
-            &mut vec![0u64; len + 2],
+            &mut self.scratch(),
         );
         let mut v = BigUint { limbs: out };
         v.normalize();
@@ -682,13 +769,13 @@ impl Montgomery {
         let base = self.to_mont(base);
         let mut acc = base.clone();
         let mut tmp = vec![0u64; len];
-        let mut scratch = vec![0u64; len + 2];
+        let mut scratch = self.scratch();
         if bits <= 64 {
             // Short exponents are public in every caller (RSA's e): plain
             // left-to-right square-and-multiply, 16 squarings and one
             // multiply for e = 65537.
             for i in (0..bits - 1).rev() {
-                self.mul(&acc, &acc, &mut tmp, &mut scratch);
+                self.sqr(&acc, &mut tmp, &mut scratch);
                 std::mem::swap(&mut acc, &mut tmp);
                 if exp.bit(i) {
                     self.mul(&acc, &base, &mut tmp, &mut scratch);
@@ -722,13 +809,32 @@ impl Montgomery {
                 continue;
             }
             for _ in 0..4 {
-                self.mul(&acc, &acc, &mut tmp, &mut scratch);
+                self.sqr(&acc, &mut tmp, &mut scratch);
                 std::mem::swap(&mut acc, &mut tmp);
             }
             self.mul(&acc, &entry, &mut tmp, &mut scratch);
             std::mem::swap(&mut acc, &mut tmp);
         }
         acc
+    }
+}
+
+/// `out = t − n` when `top·R + t ≥ n`, else `out = t`, chosen under a
+/// mask rather than a branch; `top·R + t < 2n`, so `top` is 0 or 1.
+/// The subtraction keeps its result when `top` is set or the low limbs
+/// did not borrow.
+#[inline(always)]
+fn subtract_n_masked(t: &[u64], top: u64, n: &[u64], out: &mut [u64]) {
+    let mut borrow = 0u64;
+    for ((o, &tj), &nj) in out.iter_mut().zip(t).zip(n) {
+        let (d1, b1) = tj.overflowing_sub(nj);
+        let (d2, b2) = d1.overflowing_sub(borrow);
+        *o = d2;
+        borrow = (b1 | b2) as u64;
+    }
+    let keep_diff = (top | (borrow ^ 1)).wrapping_neg();
+    for (o, &tj) in out.iter_mut().zip(t) {
+        *o = (*o & keep_diff) | (tj & !keep_diff);
     }
 }
 
@@ -975,6 +1081,7 @@ mod tests {
 
     thread_local! {
         static MULS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+        static SQRS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     }
 
     /// Called by every [`Montgomery::mul`] in test builds.
@@ -982,9 +1089,18 @@ mod tests {
         MULS.with(|c| c.set(c.get() + 1));
     }
 
-    /// Montgomery multiplies this thread has run so far.
-    fn muls() -> u64 {
-        MULS.with(|c| c.get())
+    /// Called by every [`Montgomery::sqr`] in test builds.
+    pub(super) fn count_sqr() {
+        SQRS.with(|c| c.set(c.get() + 1));
+    }
+
+    /// The Montgomery squarings and multiplies `f` runs on this thread.
+    fn count_kernel_calls(f: impl FnOnce()) -> (u64, u64) {
+        let read = || (SQRS.with(|c| c.get()), MULS.with(|c| c.get()));
+        let (sqrs, muls) = read();
+        f();
+        let (sqrs_after, muls_after) = read();
+        (sqrs_after - sqrs, muls_after - muls)
     }
 
     /// The `mul` + Knuth-D `rem` exponentiation `mod_pow` ran before
@@ -1149,27 +1265,86 @@ mod tests {
         let ctx = Montgomery::new(&odd_modulus(&mut rng, 8));
         let base = big(0xC0FFEE);
         let count = |exp: &BigUint| {
-            let before = muls();
-            let _ = ctx.pow(&base, exp);
-            muls() - before
+            count_kernel_calls(|| {
+                let _ = ctx.pow(&base, exp);
+            })
         };
         let want = count(&dense);
         assert_eq!(count(&sparse), want);
         assert_eq!(count(&mixed), want);
-        // Base and one into Montgomery form, 14 more table entries, 4
-        // squarings and 1 multiply per window after the first, and one
-        // multiply out of Montgomery form.
-        assert_eq!(want, 2 + 14 + 5 * (512 / 4 - 1) + 1);
+        // 4 squarings per window after the first. Multiplies: base and
+        // one into Montgomery form, 14 more table entries, 1 per window
+        // after the first, and one out of Montgomery form.
+        assert_eq!(want, (4 * (512 / 4 - 1), 2 + 14 + (512 / 4 - 1) + 1));
     }
 
     #[test]
     fn public_exponent_costs_sixteen_squarings_and_one_multiply() {
         let mut rng = StdRng::seed_from_u64(24);
         let ctx = Montgomery::new(&odd_modulus(&mut rng, 16));
-        let before = muls();
-        let _ = ctx.pow(&big(0xC0FFEE), &big(65537));
+        let calls = count_kernel_calls(|| {
+            let _ = ctx.pow(&big(0xC0FFEE), &big(65537));
+        });
         // Plus one multiply into and one out of Montgomery form.
-        assert_eq!(muls() - before, 16 + 1 + 2);
+        assert_eq!(calls, (16, 1 + 2));
+    }
+
+    #[test]
+    fn crt_sign_kernel_calls_are_pinned() {
+        let key = crate::rsa::RsaKeyPair::generate(1024, 0x5167);
+        let calls = count_kernel_calls(|| {
+            let _ = key.sign_pkcs1_sha1(b"quote");
+        });
+        // Both CRT exponents of this key have 512 bits, so 128 windows
+        // each. Per half: 4 squarings on each window after the first; a
+        // multiply into Montgomery form for the base and for one, 14
+        // table entries, 1 per window after the first and 1 out of
+        // Montgomery form.
+        assert_eq!(calls, (2 * 4 * 127, 2 * (2 + 14 + 127 + 1)));
+    }
+
+    /// Edge operands below `n`: 0, 1, n−1, the value with every limb
+    /// all ones below n's top limb, and random values.
+    fn edge_operands(rng: &mut StdRng, n: &BigUint) -> Vec<BigUint> {
+        let one = BigUint::one();
+        let len = n.limbs.len();
+        let mut ones = vec![u64::MAX; len];
+        ones[len - 1] = n.limbs[len - 1] - 1;
+        let mut ones = BigUint { limbs: ones };
+        ones.normalize();
+        let mut operands = vec![BigUint::zero(), one.clone(), n.sub(&one), ones];
+        operands.extend((0..4).map(|_| BigUint::random_below(rng, n)));
+        operands
+    }
+
+    #[test]
+    fn sqr_matches_mul_and_the_oracle_on_edge_operands() {
+        let mut rng = StdRng::seed_from_u64(26);
+        let one = BigUint::one();
+        for limbs in [1usize, 2, 8, 16, 17, 32] {
+            for n in [odd_modulus(&mut rng, limbs), one.shl(64 * limbs).sub(&one)] {
+                let ctx = Montgomery::new(&n);
+                let mut scratch = ctx.scratch();
+                let (mut by_sqr, mut by_mul) = (vec![0u64; limbs], vec![0u64; limbs]);
+                for x in edge_operands(&mut rng, &n) {
+                    // On the raw limbs, read as a Montgomery-form value.
+                    let raw = x.limbs_padded(limbs);
+                    ctx.sqr(&raw, &mut by_sqr, &mut scratch);
+                    ctx.mul(&raw, &raw, &mut by_mul, &mut scratch);
+                    assert_eq!(by_sqr, by_mul, "raw {x:?} mod {n:?}");
+                    // On x's Montgomery form, against the oracle.
+                    let xm = ctx.to_mont(&x);
+                    ctx.sqr(&xm, &mut by_sqr, &mut scratch);
+                    ctx.mul(&xm, &xm, &mut by_mul, &mut scratch);
+                    assert_eq!(by_sqr, by_mul, "{x:?} mod {n:?}");
+                    assert_eq!(
+                        ctx.redc(&by_sqr),
+                        mod_pow_oracle(&x, &big(2), &n),
+                        "{x:?} mod {n:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

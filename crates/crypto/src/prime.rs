@@ -68,7 +68,7 @@ pub fn is_probable_prime<R: Rng + ?Sized>(n: &BigUint, rng: &mut R) -> bool {
     let one_m = mont.to_mont(&one);
     let minus_one_m = mont.to_mont(&n_minus_1);
     let mut sq = vec![0u64; mont.len()];
-    let mut scratch = vec![0u64; mont.len() + 2];
+    let mut scratch = mont.scratch();
     let mut witness = |a: BigUint| -> bool {
         // Returns true if `a` witnesses compositeness.
         let mut x = mont.pow_mont(&a, &d);
@@ -76,7 +76,7 @@ pub fn is_probable_prime<R: Rng + ?Sized>(n: &BigUint, rng: &mut R) -> bool {
             return false;
         }
         for _ in 1..r {
-            mont.mul(&x, &x, &mut sq, &mut scratch);
+            mont.sqr(&x, &mut sq, &mut scratch);
             std::mem::swap(&mut x, &mut sq);
             if x == minus_one_m {
                 return false;

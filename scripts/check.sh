@@ -29,6 +29,9 @@ cargo run -q -p utp-analyze -- --root crates/analyze --format json > /dev/null
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> crypto suite optimized (perfbench measures release builds, where overflow checks are off)"
+cargo test --release -q -p utp-crypto
+
 echo "==> trace smoke (two E2 runs, byte-identical canonical JSONL)"
 cargo run --release -q -p utp-bench --bin trace_smoke
 
