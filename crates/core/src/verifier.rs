@@ -12,16 +12,22 @@
 //! 3. the quote's `externalData` is a nonce this verifier issued, unexpired
 //!    and never used before (⇒ fresh, not a replay);
 //! 4. the token's verdict is `Confirmed` (⇒ the human approved).
+//!
+//! [`Settler`] makes that decision for every base-protocol verdict in
+//! the workspace: [`Verifier`] is its serial one-shard use, and the
+//! server's provider and worker pool run a sharded one.
 
 use crate::ca::AikCertificate;
 use crate::protocol::{
     ConfirmMode, ConfirmationToken, Evidence, Transaction, TransactionRequest, Verdict,
 };
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
+use std::iter::Sum;
 use std::time::Duration;
 use utp_crypto::rsa::RsaPublicKey;
 use utp_crypto::sha1::Sha1Digest;
@@ -116,17 +122,6 @@ pub struct VerifiedTransaction {
     pub attempts: u32,
 }
 
-/// Outcome counters for experiments and dashboards.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct VerifierStats {
-    /// Requests issued.
-    pub issued: u64,
-    /// Evidence accepted.
-    pub accepted: u64,
-    /// Rejections by reason.
-    pub rejected: HashMap<String, u64>,
-}
-
 /// An issued-but-unsettled confirmation request, as the settlement ledger
 /// tracks it.
 ///
@@ -144,13 +139,12 @@ pub struct PendingNonce<T = Transaction> {
 
 /// The serialization point of verification: single-use nonce lifecycle.
 ///
-/// Everything else the verifier does is stateless cryptography; this
+/// Everything else a verifier does is stateless cryptography; this
 /// ledger is the one structure that must be consulted and mutated per
-/// evidence submission. Splitting it out of [`Verifier`] lets the server's
-/// `Settlement` core shard settlement by nonce (`hash(nonce) % shards`)
-/// so no global lock serializes the pipeline.
+/// evidence submission, so [`Settler`] keeps one per shard
+/// (`hash(nonce) % shards`) and no global lock serializes settlement.
 ///
-/// The intended call sequence for a concurrent verifier is
+/// The intended call sequence is
 /// [`NonceLedger::preflight`] (read-mostly, before the expensive crypto)
 /// followed by [`NonceLedger::settle`] (consuming, after the crypto
 /// passed). Both enforce the replay/unknown/expiry rules, so a concurrent
@@ -158,8 +152,9 @@ pub struct PendingNonce<T = Transaction> {
 /// [`VerifyError::Replayed`] — exactly one of N racing duplicates can
 /// settle.
 ///
-/// The base, server, batch and amortized verifiers all settle through
-/// it, so the replay, unknown and expiry rules exist once.
+/// [`Settler`] (behind both [`Verifier`] and the provider), the batch
+/// and the amortized verifiers all settle through it, so the replay,
+/// unknown and expiry rules exist once.
 #[derive(Debug, Clone, Default)]
 pub struct NonceLedger<T = Transaction> {
     ttl: Duration,
@@ -219,8 +214,8 @@ impl<T: Clone> NonceLedger<T> {
     /// returning a copy of the pending entry so the caller can run the
     /// stateless crypto without holding the ledger.
     ///
-    /// Expired entries are dropped here (mirroring the serial verifier,
-    /// which forgets a nonce the moment it observes it expired).
+    /// Expired entries are dropped here: a nonce is forgotten the moment
+    /// it is observed expired.
     ///
     /// # Errors
     ///
@@ -266,8 +261,8 @@ impl<T: Clone> NonceLedger<T> {
             return Err(VerifyError::UnknownNonce);
         };
         if now.saturating_sub(pending.issued_at) > self.ttl {
-            // Stays removed, matching the serial verifier's behavior of
-            // forgetting a nonce the moment it observes it expired.
+            // Stays removed, as in `preflight`: a nonce is forgotten the
+            // moment it is observed expired.
             return Err(VerifyError::Expired);
         }
         self.used.insert(key);
@@ -342,30 +337,263 @@ pub fn check_evidence<'a>(
     check_quote_chain(&aik, &token.nonce, trusted_pals, &io, &evidence.quote)
 }
 
-/// The provider-side verifier with nonce lifecycle management.
-///
-/// `Clone` is the checkpoint/restore hook for the adversarial
-/// explorer: a clone carries the full nonce ledger (pending and
-/// consumed sets), the policy, the statistics and the nonce RNG
-/// state, so a forked branch issues and settles independently of the
-/// original timeline.
-#[derive(Clone)]
-pub struct Verifier {
-    ca_key: RsaPublicKey,
-    config: VerifierConfig,
-    rng: StdRng,
-    ledger: NonceLedger,
-    stats: VerifierStats,
+/// The seeded nonce stream a provider draws its challenges from. A
+/// [`Verifier`] and a server-side provider built from the same seed
+/// issue the same nonces.
+#[derive(Debug, Clone)]
+pub struct NonceStream(StdRng);
+
+impl NonceStream {
+    /// The stream for `seed`.
+    pub fn new(seed: u64) -> Self {
+        NonceStream(StdRng::seed_from_u64(seed ^ 0x56_4552_u64))
+    }
+
+    /// Draws the next nonce and builds the request that challenges the
+    /// human to confirm `transaction` in `mode`.
+    pub fn request(&mut self, transaction: Transaction, mode: ConfirmMode) -> TransactionRequest {
+        let mut nonce = [0u8; 20];
+        self.0.fill_bytes(&mut nonce);
+        TransactionRequest {
+            transaction,
+            nonce: Sha1Digest(nonce),
+            mode,
+        }
+    }
 }
 
-impl fmt::Debug for Verifier {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Verifier")
-            .field("pending", &self.ledger.pending_count())
-            .field("used", &self.ledger.used_count())
-            .field("stats", &self.stats)
-            .finish()
+/// Per-shard settlement counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShardCounters {
+    /// Nonces registered with this shard.
+    pub registered: u64,
+    /// Evidence accepted (human-confirmed, nonce consumed).
+    pub accepted: u64,
+    /// Evidence rejected by a crypto or nonce rule, or settled with a
+    /// verdict other than `Confirmed`.
+    pub rejected: u64,
+    /// Replays caught, including concurrent duplicate submissions that
+    /// lost the settle race.
+    pub replayed: u64,
+}
+
+impl<'a> Sum<&'a ShardCounters> for ShardCounters {
+    /// Element-wise sum (whole-settler totals).
+    fn sum<I: Iterator<Item = &'a ShardCounters>>(shards: I) -> Self {
+        shards.fold(ShardCounters::default(), |acc, s| ShardCounters {
+            registered: acc.registered + s.registered,
+            accepted: acc.accepted + s.accepted,
+            rejected: acc.rejected + s.rejected,
+            replayed: acc.replayed + s.replayed,
+        })
     }
+}
+
+impl ShardCounters {
+    /// Counts a rejected step: replays apart, everything else as rejected.
+    fn count(&mut self, outcome: &VerifyError) {
+        if matches!(outcome, VerifyError::Replayed) {
+            self.replayed += 1;
+        } else {
+            self.rejected += 1;
+        }
+    }
+}
+
+/// One settlement shard: its slice of the nonce space and its counters.
+#[derive(Debug)]
+struct Shard {
+    ledger: Mutex<NonceLedger>,
+    counters: Mutex<ShardCounters>,
+}
+
+/// Full nonce-ledger state across all shards, as exported by
+/// [`Settler::ledger_export`]: `(outstanding entries, consumed nonces)`,
+/// both sorted by nonce.
+pub type LedgerExport = (Vec<([u8; 20], PendingNonce)>, Vec<[u8; 20]>);
+
+/// The one settlement core: every base-protocol verdict in the
+/// workspace is decided by [`Settler::settle_evidence`].
+///
+/// It pins the privacy-CA key and the trusted PAL measurements, and owns
+/// the [`NonceLedger`]s, **sharded** by `hash(nonce) % shards` so the
+/// one serialized step does not serialize globally, with per-shard
+/// counters. It is thread-free and every method takes `&self`, so one
+/// core can serve an inline caller and a worker pool at once. A
+/// [`Verifier`] is a one-shard core; the server's settlement adds a
+/// certificate cache and a journal around a sharded one.
+#[derive(Debug)]
+pub struct Settler {
+    ca_key: RsaPublicKey,
+    trusted_pals: HashSet<Sha1Digest>,
+    shards: Vec<Shard>,
+}
+
+impl Settler {
+    /// A core pinning `ca_key` and accepting `trusted_pals`, whose
+    /// nonces live `nonce_ttl`, settled on `shards` shards (clamped to
+    /// ≥ 1).
+    pub fn new(
+        ca_key: RsaPublicKey,
+        trusted_pals: HashSet<Sha1Digest>,
+        nonce_ttl: Duration,
+        shards: usize,
+    ) -> Self {
+        Settler {
+            ca_key,
+            trusted_pals,
+            shards: (0..shards.max(1))
+                .map(|_| Shard {
+                    ledger: Mutex::new(NonceLedger::new(nonce_ttl)),
+                    counters: Mutex::default(),
+                })
+                .collect(),
+        }
+    }
+
+    /// Deep copy for state-space branching: ledgers and counters are
+    /// copied, so the fork and the original settle independently.
+    pub fn fork(&self) -> Settler {
+        Settler {
+            ca_key: self.ca_key.clone(),
+            trusted_pals: self.trusted_pals.clone(),
+            shards: self
+                .shards
+                .iter()
+                .map(|s| Shard {
+                    ledger: Mutex::new(s.ledger.lock().clone()),
+                    counters: Mutex::new(*s.counters.lock()),
+                })
+                .collect(),
+        }
+    }
+
+    /// The pinned privacy-CA key AIK certificates must validate under.
+    pub fn ca_key(&self) -> &RsaPublicKey {
+        &self.ca_key
+    }
+
+    /// Number of settlement shards.
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Index of the shard that settles `nonce`.
+    pub fn shard_index(&self, nonce: &[u8; 20]) -> usize {
+        let mut prefix = [0u8; 8];
+        prefix.copy_from_slice(&nonce[..8]);
+        (u64::from_le_bytes(prefix) % self.shards.len() as u64) as usize
+    }
+
+    fn shard_of(&self, nonce: &Sha1Digest) -> &Shard {
+        &self.shards[self.shard_index(nonce.as_bytes())]
+    }
+
+    /// Per-shard counter snapshots, in shard order.
+    pub fn counters(&self) -> Vec<ShardCounters> {
+        self.shards.iter().map(|s| *s.counters.lock()).collect()
+    }
+
+    /// Registers an issued request with its settlement shard, enabling
+    /// later evidence submission for its nonce.
+    pub fn register(&self, request: &TransactionRequest, now: Duration) {
+        let entry = PendingNonce {
+            request_bytes: request.to_bytes(),
+            transaction: request.transaction.clone(),
+            issued_at: now,
+        };
+        self.restore_pending(*request.nonce.as_bytes(), entry);
+    }
+
+    /// Restores an outstanding entry into its settlement shard from a
+    /// recovered journal: the challenge was issued (and persisted)
+    /// before the crash, so its evidence stays settleable after restart.
+    pub fn restore_pending(&self, nonce: [u8; 20], pending: PendingNonce) {
+        let digest = Sha1Digest(nonce);
+        let shard = self.shard_of(&digest);
+        shard.ledger.lock().register(&digest, pending);
+        shard.counters.lock().registered += 1;
+    }
+
+    /// Restores a consumed nonce into its settlement shard so replayed
+    /// evidence keeps losing after a restart.
+    pub fn restore_used(&self, nonce: [u8; 20]) {
+        let digest = Sha1Digest(nonce);
+        self.shard_of(&digest).ledger.lock().restore_used(nonce);
+    }
+
+    /// Exports the full ledger state across all shards — snapshot
+    /// support: `(outstanding entries, consumed nonces)`, both sorted by
+    /// nonce for deterministic snapshots.
+    pub fn ledger_export(&self) -> LedgerExport {
+        let mut pending = Vec::new();
+        let mut used = Vec::new();
+        for shard in &self.shards {
+            let ledger = shard.ledger.lock();
+            pending.extend(ledger.pending_entries().map(|(n, p)| (*n, p.clone())));
+            used.extend(ledger.used_entries().copied());
+        }
+        pending.sort_by_key(|(n, _)| *n);
+        used.sort_unstable();
+        (pending, used)
+    }
+
+    /// Settles evidence: parse the token, preflight its shard
+    /// (read-mostly), run [`check_evidence`] with AIK certificates
+    /// resolved by `resolve_aik` and no lock held, settle the nonce, then
+    /// check the verdict. A concurrent duplicate loses the settle race
+    /// and reports `Replayed`, exactly like a sequential replay.
+    ///
+    /// # Errors
+    ///
+    /// The first failing check as a [`VerifyError`]; the nonce is
+    /// consumed on success and on `NotConfirmed` (the transaction settled
+    /// either way), and stays pending on retryable failures.
+    pub fn settle_evidence(
+        &self,
+        evidence: &Evidence,
+        now: Duration,
+        resolve_aik: impl FnOnce(&[u8]) -> Option<RsaPublicKey>,
+    ) -> Result<VerifiedTransaction, VerifyError> {
+        let token = evidence
+            .token()
+            .map_err(|_| VerifyError::MalformedEvidence)?;
+        let shard = self.shard_of(&token.nonce);
+        let pending = shard
+            .ledger
+            .lock()
+            .preflight(&token.nonce, now)
+            .inspect_err(|e| shard.counters.lock().count(e))?;
+        check_evidence(&token, &pending, evidence, &self.trusted_pals, resolve_aik)
+            .inspect_err(|e| shard.counters.lock().count(e))?;
+        let pending = shard
+            .ledger
+            .lock()
+            .settle(&token.nonce, now)
+            .inspect_err(|e| shard.counters.lock().count(e))?;
+        if token.verdict != Verdict::Confirmed {
+            // The nonce is consumed either way — the transaction settled
+            // as rejected.
+            shard.counters.lock().rejected += 1;
+            return Err(VerifyError::NotConfirmed(token.verdict));
+        }
+        shard.counters.lock().accepted += 1;
+        Ok(VerifiedTransaction {
+            transaction: pending.transaction,
+            mode: token.mode,
+            attempts: token.attempts,
+        })
+    }
+}
+
+/// The provider-side verifier: a seeded nonce stream and a default
+/// confirmation mode for issuing requests, and a one-shard [`Settler`]
+/// that validates every AIK certificate afresh (no cache).
+#[derive(Debug)]
+pub struct Verifier {
+    nonces: NonceStream,
+    default_mode: ConfirmMode,
+    settler: Settler,
 }
 
 impl Verifier {
@@ -377,34 +605,21 @@ impl Verifier {
 
     /// Creates a verifier with explicit policy.
     pub fn with_config(ca_key: RsaPublicKey, config: VerifierConfig, seed: u64) -> Self {
-        let ledger = NonceLedger::new(config.nonce_ttl);
         Verifier {
-            ca_key,
-            config,
-            rng: StdRng::seed_from_u64(seed ^ 0x56_4552_u64),
-            ledger,
-            stats: VerifierStats::default(),
+            nonces: NonceStream::new(seed),
+            default_mode: config.default_mode,
+            settler: Settler::new(ca_key, config.trusted_pals, config.nonce_ttl, 1),
         }
     }
 
-    /// The policy in use.
-    pub fn config(&self) -> &VerifierConfig {
-        &self.config
-    }
-
-    /// Outcome counters.
-    pub fn stats(&self) -> &VerifierStats {
-        &self.stats
-    }
-
-    /// Number of outstanding (unconsumed, possibly expired) nonces.
-    pub fn pending_count(&self) -> usize {
-        self.ledger.pending_count()
+    /// The settlement core's counters.
+    pub fn stats(&self) -> ShardCounters {
+        self.settler.counters().iter().sum()
     }
 
     /// Issues a confirmation request for `tx` with the default mode.
     pub fn issue_request(&mut self, tx: Transaction, now: Duration) -> TransactionRequest {
-        let mode = self.config.default_mode;
+        let mode = self.default_mode;
         self.issue_request_with_mode(tx, mode, now)
     }
 
@@ -415,94 +630,26 @@ impl Verifier {
         mode: ConfirmMode,
         now: Duration,
     ) -> TransactionRequest {
-        let mut nonce_bytes = [0u8; 20];
-        self.rng.fill_bytes(&mut nonce_bytes);
-        let nonce = Sha1Digest(nonce_bytes);
-        let request = TransactionRequest {
-            transaction: tx.clone(),
-            nonce,
-            mode,
-        };
-        self.ledger.register(
-            &nonce,
-            PendingNonce {
-                request_bytes: request.to_bytes(),
-                transaction: tx,
-                issued_at: now,
-            },
-        );
-        self.stats.issued += 1;
+        let request = self.nonces.request(tx, mode);
+        self.settler.register(&request, now);
         request
     }
 
-    /// Adopts a request issued elsewhere so this verifier can settle its
-    /// evidence (the differential tests' reference verifier).
-    pub fn import_request(&mut self, request: &TransactionRequest, issued_at: Duration) {
-        self.ledger.register(
-            &request.nonce,
-            PendingNonce {
-                request_bytes: request.to_bytes(),
-                transaction: request.transaction.clone(),
-                issued_at,
-            },
-        );
-        self.stats.issued += 1;
-    }
-
-    /// Drops expired nonces (housekeeping; `verify` also checks expiry).
-    pub fn gc(&mut self, now: Duration) {
-        self.ledger.gc(now);
-    }
-
-    fn reject(&mut self, e: VerifyError) -> VerifyError {
-        *self.stats.rejected.entry(format!("{:?}", e)).or_insert(0) += 1;
-        e
-    }
-
-    /// Verifies evidence for a previously issued request.
+    /// Verifies evidence for a previously issued request: one
+    /// [`Settler::settle_evidence`], parsing and validating the AIK
+    /// certificate under the pinned CA key.
     ///
     /// # Errors
     ///
-    /// Returns the first failing check as a [`VerifyError`]; the nonce is
-    /// consumed on success and on `NotConfirmed` (the transaction is
-    /// settled either way), and kept pending on transport-level failures
-    /// so a legitimate client may retry.
+    /// As [`Settler::settle_evidence`].
     pub fn verify(
         &mut self,
         evidence: &Evidence,
         now: Duration,
     ) -> Result<VerifiedTransaction, VerifyError> {
-        let token = match evidence.token() {
-            Ok(t) => t,
-            Err(_) => return Err(self.reject(VerifyError::MalformedEvidence)),
-        };
-        let pending = match self.ledger.preflight(&token.nonce, now) {
-            Ok(p) => p,
-            Err(e) => return Err(self.reject(e)),
-        };
-        let ca_key = &self.ca_key;
-        if let Err(e) = check_evidence(
-            &token,
-            &pending,
-            evidence,
-            &self.config.trusted_pals,
-            |cert| AikCertificate::from_bytes(cert)?.validate(ca_key),
-        ) {
-            return Err(self.reject(e));
-        }
-        // All cryptographic checks passed: settle the nonce.
-        let pending = match self.ledger.settle(&token.nonce, now) {
-            Ok(p) => p,
-            Err(e) => return Err(self.reject(e)),
-        };
-        if token.verdict != Verdict::Confirmed {
-            return Err(self.reject(VerifyError::NotConfirmed(token.verdict)));
-        }
-        self.stats.accepted += 1;
-        Ok(VerifiedTransaction {
-            transaction: pending.transaction,
-            mode: token.mode,
-            attempts: token.attempts,
+        let ca_key = self.settler.ca_key();
+        self.settler.settle_evidence(evidence, now, |cert| {
+            AikCertificate::from_bytes(cert)?.validate(ca_key)
         })
     }
 }
@@ -571,10 +718,10 @@ mod tests {
 
     #[test]
     fn unknown_nonce_rejected() {
-        let (_ca, mut verifier, mut machine, mut client) = setup();
+        let (ca, mut verifier, mut machine, mut client) = setup();
         let t = tx();
         // A request this verifier never issued (different verifier).
-        let mut rogue = Verifier::new(verifier.ca_key.clone(), 999);
+        let mut rogue = Verifier::new(ca.public_key().clone(), 999);
         let req = rogue.issue_request(t.clone(), machine.now());
         let mut human = ConfirmingHuman::new(Intent::approving(&t), 67);
         let evidence = client.confirm(&mut machine, &req, &mut human).unwrap();
@@ -692,12 +839,20 @@ mod tests {
 
     #[test]
     fn gc_drops_only_expired() {
-        let (_ca, mut verifier, machine, _client) = setup();
-        let now = machine.now();
-        verifier.issue_request(tx(), now);
-        verifier.issue_request(tx(), now + Duration::from_secs(400));
-        verifier.gc(now + Duration::from_secs(500));
-        assert_eq!(verifier.pending_count(), 1);
+        let mut ledger = NonceLedger::new(DEFAULT_NONCE_TTL);
+        let now = Duration::from_secs(1);
+        let pending = |issued_at| PendingNonce {
+            request_bytes: Vec::new(),
+            transaction: tx(),
+            issued_at,
+        };
+        ledger.register(&Sha1Digest([1; 20]), pending(now));
+        ledger.register(
+            &Sha1Digest([2; 20]),
+            pending(now + Duration::from_secs(400)),
+        );
+        ledger.gc(now + Duration::from_secs(500));
+        assert_eq!(ledger.pending_count(), 1);
     }
 
     #[test]
@@ -709,8 +864,8 @@ mod tests {
         let evidence = client.confirm(&mut machine, &req, &mut human).unwrap();
         verifier.verify(&evidence, machine.now()).unwrap();
         let _ = verifier.verify(&evidence, machine.now());
-        assert_eq!(verifier.stats().rejected.get("Replayed"), Some(&1));
-        assert_eq!(verifier.stats().issued, 1);
+        assert_eq!(verifier.stats().replayed, 1);
+        assert_eq!(verifier.stats().registered, 1);
     }
 
     use std::time::Duration;

@@ -421,7 +421,7 @@ impl System for RealSystem {
             })
             .collect();
         orders.sort_by_key(|o| o.id);
-        let (pending, used) = self.provider.settlement().ledger_export();
+        let (pending, used) = self.provider.settlement().settler().ledger_export();
         let pending = pending.into_iter().map(|(nonce, _)| nonce).collect();
         let audit = self
             .provider

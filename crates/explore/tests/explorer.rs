@@ -50,17 +50,17 @@ fn exploration_forks_the_sharded_settlement_across_shards() {
     // the smoke-bound model check crosses shards only if the scenario's
     // order nonces land on more than one of them.
     let (scenario, root) = Scenario::build(SEED, ORDERS);
-    let settlement = root.provider().settlement();
+    let settler = root.provider().settlement().settler();
     let shards: std::collections::BTreeSet<usize> = scenario
         .orders
         .iter()
-        .map(|o| settlement.shard_index(&o.nonce))
+        .map(|o| settler.shard_index(&o.nonce))
         .collect();
     assert!(
         shards.len() >= 2,
         "all {} order nonces settle on shard(s) {shards:?} of {}",
         scenario.order_count(),
-        settlement.shard_count()
+        settler.shard_count()
     );
     let alphabet = default_alphabet(scenario.order_count(), scenario.nonce_ttl);
     let report = explore(&scenario, &root, &alphabet, &smoke_config());

@@ -126,10 +126,10 @@ impl RecoveredState {
                     order_id: (*order_id != NO_ORDER).then_some(*order_id),
                     outcome: *outcome,
                 });
-                // Nonce lifecycle, mirroring NonceLedger::settle and the
-                // serial verifier: accepted and human-rejected evidence
-                // consume the nonce; expiry drops the pending entry;
-                // crypto failures leave it intact (retryable).
+                // Nonce lifecycle, mirroring NonceLedger::settle and
+                // Settler::settle_evidence: accepted and human-rejected
+                // evidence consume the nonce; expiry drops the pending
+                // entry; crypto failures leave it intact (retryable).
                 match outcome {
                     Ok(()) | Err(VerifyError::NotConfirmed(_)) => {
                         self.pending.remove(nonce);

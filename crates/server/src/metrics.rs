@@ -115,31 +115,8 @@ pub fn throughput(ops: usize, elapsed: Duration) -> f64 {
     ops as f64 / elapsed.as_secs_f64()
 }
 
-/// Per-shard settlement counters, snapshotted from the live atomics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardCounters {
-    /// Nonces registered with this shard.
-    pub registered: u64,
-    /// Evidence accepted (human-confirmed, nonce consumed).
-    pub accepted: u64,
-    /// Evidence rejected before settlement (crypto or nonce rules).
-    pub rejected: u64,
-    /// Replays caught, including concurrent duplicate submissions that
-    /// lost the settle race.
-    pub replayed: u64,
-}
-
-impl ShardCounters {
-    /// Element-wise sum (for whole-service totals).
-    pub fn merge(&self, other: &ShardCounters) -> ShardCounters {
-        ShardCounters {
-            registered: self.registered + other.registered,
-            accepted: self.accepted + other.accepted,
-            rejected: self.rejected + other.rejected,
-            replayed: self.replayed + other.replayed,
-        }
-    }
-}
+/// Per-shard settlement counters, defined with the settlement core.
+pub use utp_core::verifier::ShardCounters;
 
 /// A point-in-time snapshot of the verification service's counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -176,9 +153,7 @@ pub struct ServiceStats {
 impl ServiceStats {
     /// Whole-service totals across shards.
     pub fn totals(&self) -> ShardCounters {
-        self.shards
-            .iter()
-            .fold(ShardCounters::default(), |acc, s| acc.merge(s))
+        self.shards.iter().sum()
     }
 
     /// Fraction of certificate lookups served from cache, in `[0, 1]`.

@@ -1,26 +1,24 @@
 //! The service-provider facade.
 //!
 //! A [`ServiceProvider`] owns the store, the audit log and one
-//! [`Settlement`] core from construction. It issues challenges from its
-//! own seeded nonce stream, registers each with the settlement, and
+//! [`Settlement`] from construction. It issues challenges from its own
+//! seeded [`NonceStream`], registers each with the settlement, and
 //! settles evidence inline through [`Settlement::verify_settling`]. With
-//! [`ServiceProvider::attach_service`] the same core is handed to a
-//! [`VerifierService`] worker pool and evidence settles on its workers
+//! [`ServiceProvider::attach_service`] the same settlement is handed to
+//! a [`VerifierService`] worker pool and evidence settles on its workers
 //! instead, so a provider has exactly one nonce ledger whether or not a
-//! pool is attached.
+//! pool is attached. Either way the verdict comes from `utp-core`'s one
+//! settlement core, the same one a serial `Verifier` runs.
 
 use crate::audit::AuditLog;
 use crate::metrics::ServiceStats;
 use crate::service::{ServiceConfig, Settlement, VerifierService};
 use crate::store::{Order, OrderStatus, Store};
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
 use std::sync::Arc;
 use std::time::Duration;
 use utp_core::protocol::{ConfirmMode, Evidence, Transaction, TransactionRequest};
-use utp_core::verifier::{VerifierConfig, VerifyError};
+use utp_core::verifier::{NonceStream, VerifierConfig, VerifyError};
 use utp_crypto::rsa::RsaPublicKey;
-use utp_crypto::sha1::Sha1Digest;
 use utp_journal::{
     Journal, JournalRecord, RecoveredState, RecoveredStatus, RecoveryReport, NO_ORDER,
 };
@@ -49,7 +47,7 @@ pub struct Receipt {
 pub struct ServiceProvider {
     default_mode: ConfirmMode,
     /// Nonce stream for issued challenges.
-    rng: StdRng,
+    nonces: NonceStream,
     settlement: Arc<Settlement>,
     service: Option<VerifierService>,
     store: Store,
@@ -68,7 +66,7 @@ impl ServiceProvider {
         let sizing = ServiceConfig::from_verifier_config(&config, 1, SETTLEMENT_SHARDS);
         ServiceProvider {
             settlement: Arc::new(Settlement::new(ca_key, &sizing)),
-            rng: StdRng::seed_from_u64(seed ^ 0x56_4552_u64),
+            nonces: NonceStream::new(seed),
             default_mode: config.default_mode,
             service: None,
             store: Store::new(),
@@ -124,10 +122,13 @@ impl ServiceProvider {
             );
         }
         for (nonce, pending) in &state.pending {
-            provider.settlement.restore_pending(*nonce, pending.clone());
+            provider
+                .settlement
+                .settler()
+                .restore_pending(*nonce, pending.clone());
         }
         for nonce in &state.used {
-            provider.settlement.restore_used(*nonce);
+            provider.settlement.settler().restore_used(*nonce);
         }
         for d in &state.audit {
             provider
@@ -153,8 +154,8 @@ impl ServiceProvider {
     }
 
     /// Deep copy of the provider for state-space branching: the store,
-    /// the audit history, the nonce-RNG state and the settlement core
-    /// (ledgers, cache, counters and the journal's media *and* unflushed
+    /// the audit history, the nonce stream and the settlement (ledgers,
+    /// cache, counters and the journal's media *and* unflushed
     /// caches) are all copied, so the fork and the original evolve
     /// independently. An attached worker pool is not copied: the fork
     /// settles inline, on its copy of the same ledger.
@@ -168,7 +169,7 @@ impl ServiceProvider {
         }
         ServiceProvider {
             default_mode: self.default_mode,
-            rng: self.rng.clone(),
+            nonces: self.nonces.clone(),
             settlement: Arc::new(settlement),
             service: None,
             store: self.store.clone(),
@@ -178,7 +179,7 @@ impl ServiceProvider {
     }
 
     /// Starts a [`VerifierService`] pool of `threads` workers around this
-    /// provider's settlement core and routes all subsequent evidence
+    /// provider's settlement and routes all subsequent evidence
     /// submissions through it. A pool already attached is shut down
     /// first.
     pub fn attach_service(&mut self, threads: usize) {
@@ -194,7 +195,7 @@ impl ServiceProvider {
         self.service.take().map(VerifierService::shutdown)
     }
 
-    /// The settlement core (nonce ledger, certificate cache, counters).
+    /// The settlement (nonce ledgers, certificate cache, counters).
     pub fn settlement(&self) -> &Settlement {
         &self.settlement
     }
@@ -246,13 +247,7 @@ impl ServiceProvider {
         self.tx_counter += 1;
         let tx = Transaction::new(self.tx_counter, payee, amount_cents, currency, memo);
         let order_id = self.store.create_order(account, tx.clone());
-        let mut nonce = [0u8; 20];
-        self.rng.fill_bytes(&mut nonce);
-        let request = TransactionRequest {
-            transaction: tx,
-            nonce: Sha1Digest(nonce),
-            mode: self.default_mode,
-        };
+        let request = self.nonces.request(tx, self.default_mode);
         if let Some(journal) = self.settlement.journal() {
             // WAL-before-challenge: the order/nonce binding must be
             // durable before the request leaves the provider, or a crash
@@ -265,7 +260,7 @@ impl ServiceProvider {
             });
             journal.sync();
         }
-        self.settlement.register(&request, now);
+        self.settlement.settler().register(&request, now);
         (order_id, request)
     }
 
@@ -375,6 +370,7 @@ mod tests {
     use utp_core::ca::PrivacyCa;
     use utp_core::client::{Client, ClientConfig};
     use utp_core::operator::{ConfirmingHuman, Intent};
+    use utp_core::verifier::Verifier;
     use utp_platform::machine::{Machine, MachineConfig};
 
     fn setup() -> (ServiceProvider, Machine, Client) {
@@ -694,6 +690,18 @@ mod tests {
             recovered.store().account("alice").unwrap().balance_cents,
             5_800
         );
+    }
+
+    #[test]
+    fn provider_and_verifier_from_one_seed_issue_the_same_nonces() {
+        let ca_key = PrivacyCa::new(512, 91).public_key().clone();
+        let mut provider = ServiceProvider::new(ca_key.clone(), 92);
+        let mut verifier = Verifier::new(ca_key, 92);
+        for _ in 0..3 {
+            let (_, request) = provider.place_order("alice", "shop", 1, "EUR", "", Duration::ZERO);
+            let issued = verifier.issue_request(request.transaction.clone(), Duration::ZERO);
+            assert_eq!(request, issued);
+        }
     }
 
     #[test]

@@ -1,20 +1,21 @@
-//! Nonce settlement: one thread-free core, and the worker pool around it.
+//! Nonce settlement on the provider: the settlement, and the worker
+//! pool around it.
 //!
 //! The provider-side cost of the trusted path is one certificate check,
-//! two hashes and one RSA quote verify per transaction, all stateless
-//! ([`utp_core::verifier::check_evidence`]); only nonce settlement needs
-//! serialization. Two types split that work:
+//! two hashes and one RSA quote verify per transaction, all stateless;
+//! only nonce settlement needs serialization. Every verdict is decided
+//! by `utp-core`'s one settlement core, [`Settler`] (parse → preflight
+//! → `check_evidence` → settle → verdict, on nonce ledgers **sharded**
+//! by `hash(nonce) % shards`). Two types here add what that core cannot
+//! know:
 //!
-//! * [`Settlement`] — the settlement core every verdict goes through.
-//!   It owns the nonce [`NonceLedger`]s, **sharded** by
-//!   `hash(nonce) % shards` so the one serialized step does not
-//!   serialize globally, an **LRU cache of validated AIK certificates**
-//!   keyed by certificate digest (a repeat client costs one RSA verify,
-//!   not two), per-shard [`crate::metrics::ShardCounters`], and the
-//!   optional settlement journal. [`Settlement::verify_settling`] runs
-//!   preflight → `check_evidence` → settle → WAL-before-ack on the
-//!   calling thread, and `Settlement::fork` deep-copies the whole core
-//!   so the explorer can branch on it.
+//! * [`Settlement`] — the core plus an **LRU cache of validated AIK
+//!   certificates** keyed by certificate digest (a repeat client costs
+//!   one RSA verify, not two) and the optional settlement journal.
+//!   [`Settlement::verify_settling`] is the core's `settle_evidence`
+//!   with certificates resolved through the cache, followed by
+//!   WAL-before-ack, on the calling thread; `Settlement::fork`
+//!   deep-copies it so the explorer can branch on it.
 //! * [`VerifierService`] — a bounded submission queue and a pool of
 //!   worker threads around an `Arc<Settlement>`. A full queue blocks
 //!   (or, via [`VerifierService::try_submit_evidence`], reports
@@ -28,7 +29,7 @@
 //!   `svc.submit` events on the caller's own sink. Emission never
 //!   happens while a shard or cache lock is held.
 
-use crate::metrics::{Counter, Gauge, HostStopwatch, ServiceStats, ShardCounters};
+use crate::metrics::{Counter, Gauge, HostStopwatch, ServiceStats};
 use crossbeam::channel::{self, TrySendError};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
@@ -38,20 +39,13 @@ use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use utp_core::ca::AikCertificate;
-use utp_core::protocol::{Evidence, TransactionRequest, Verdict};
-use utp_core::verifier::{
-    check_evidence, NonceLedger, PendingNonce, VerifiedTransaction, VerifierConfig, VerifyError,
-};
+use utp_core::protocol::{Evidence, TransactionRequest};
+use utp_core::verifier::{Settler, VerifiedTransaction, VerifierConfig, VerifyError};
 use utp_crypto::rsa::RsaPublicKey;
 use utp_crypto::sha1::{Sha1, Sha1Digest};
 use utp_journal::{Journal, JournalRecord, NO_ORDER};
 use utp_netsim::{Admission, AdmissionConfig};
 use utp_trace::{keys, names, Recorder, Value};
-
-/// Full nonce-ledger state across all shards, as exported by
-/// [`Settlement::ledger_export`]: `(outstanding entries, consumed
-/// nonces)`, both sorted by nonce.
-pub type LedgerExport = (Vec<([u8; 20], PendingNonce)>, Vec<[u8; 20]>);
 
 /// Sizing and policy knobs for [`Settlement`] and [`VerifierService`].
 #[derive(Debug, Clone)]
@@ -277,69 +271,32 @@ impl CertCache {
     }
 }
 
-/// Live per-shard counter cells (snapshotted into [`ShardCounters`]).
-#[derive(Debug, Default, Clone)]
-struct ShardCells {
-    registered: Counter,
-    accepted: Counter,
-    rejected: Counter,
-    replayed: Counter,
-}
-
-impl ShardCells {
-    fn snapshot(&self) -> ShardCounters {
-        ShardCounters {
-            registered: self.registered.get(),
-            accepted: self.accepted.get(),
-            rejected: self.rejected.get(),
-            replayed: self.replayed.get(),
-        }
-    }
-
-    fn count(&self, outcome: &VerifyError) {
-        if matches!(outcome, VerifyError::Replayed) {
-            self.replayed.incr();
-        } else {
-            self.rejected.incr();
-        }
-    }
-}
-
-/// One settlement shard: its slice of the nonce space plus counters.
-#[derive(Debug)]
-struct Shard {
-    ledger: Mutex<NonceLedger>,
-    cells: ShardCells,
-}
-
-/// The thread-free settlement core: sharded nonce ledgers, the AIK
-/// certificate cache, per-shard counters and the optional journal. See
-/// the module docs. Every method takes `&self`, so one core can serve
-/// an inline caller and a worker pool through the same `Arc`.
+/// The provider's settlement: the core [`Settler`] (sharded nonce
+/// ledgers, per-shard counters, CA key and trusted PALs) plus the two
+/// things it cannot know — the AIK certificate cache and the settlement
+/// journal. See the module docs. Every method takes `&self`, so one
+/// settlement can serve an inline caller and a worker pool through the
+/// same `Arc`.
 #[derive(Debug)]
 pub struct Settlement {
-    ca_key: RsaPublicKey,
-    trusted_pals: HashSet<Sha1Digest>,
-    shards: Vec<Shard>,
+    settler: Settler,
     cache: CertCache,
     /// Settlement WAL (see [`ServiceConfig::journal`]); set at most once.
     journal: OnceLock<Arc<Journal>>,
 }
 
 impl Settlement {
-    /// A core pinning `ca_key`, sized and configured by `config`'s
+    /// A settlement pinning `ca_key`, sized and configured by `config`'s
     /// `shards` (clamped to ≥ 1), `cert_cache_capacity`, `nonce_ttl`,
     /// `trusted_pals` and `journal`; the pool fields are ignored.
     pub(crate) fn new(ca_key: RsaPublicKey, config: &ServiceConfig) -> Self {
         Settlement {
-            ca_key,
-            trusted_pals: config.trusted_pals.clone(),
-            shards: (0..config.shards.max(1))
-                .map(|_| Shard {
-                    ledger: Mutex::new(NonceLedger::new(config.nonce_ttl)),
-                    cells: ShardCells::default(),
-                })
-                .collect(),
+            settler: Settler::new(
+                ca_key,
+                config.trusted_pals.clone(),
+                config.nonce_ttl,
+                config.shards,
+            ),
             cache: CertCache::new(config.cert_cache_capacity),
             journal: config
                 .journal
@@ -354,19 +311,7 @@ impl Settlement {
     /// the fork and the original settle independently.
     pub(crate) fn fork(&self) -> Settlement {
         Settlement {
-            ca_key: self.ca_key.clone(),
-            trusted_pals: self.trusted_pals.clone(),
-            shards: self
-                .shards
-                .iter()
-                .map(|s| {
-                    let ledger = s.ledger.lock().clone();
-                    Shard {
-                        ledger: Mutex::new(ledger),
-                        cells: s.cells.clone(),
-                    }
-                })
-                .collect(),
+            settler: self.settler.fork(),
             cache: self.cache.fork(),
             journal: self
                 .journal
@@ -376,9 +321,9 @@ impl Settlement {
         }
     }
 
-    /// Starts journaling settle decisions to `journal`. A core keeps the
-    /// first journal it is given: returns `false`, and changes nothing,
-    /// if one is already attached.
+    /// Starts journaling settle decisions to `journal`. A settlement
+    /// keeps the first journal it is given: returns `false`, and changes
+    /// nothing, if one is already attached.
     pub(crate) fn attach_journal(&self, journal: Arc<Journal>) -> bool {
         self.journal.set(journal).is_ok()
     }
@@ -388,126 +333,30 @@ impl Settlement {
         self.journal.get()
     }
 
-    /// Number of settlement shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    /// The settlement core: shards, counters and nonce-ledger state.
+    pub fn settler(&self) -> &Settler {
+        &self.settler
     }
 
-    /// Index of the shard that settles `nonce`.
-    pub fn shard_index(&self, nonce: &[u8; 20]) -> usize {
-        let mut prefix = [0u8; 8];
-        prefix.copy_from_slice(&nonce[..8]);
-        (u64::from_le_bytes(prefix) % self.shards.len() as u64) as usize
-    }
-
-    fn shard_of(&self, nonce: &Sha1Digest) -> &Shard {
-        &self.shards[self.shard_index(nonce.as_bytes())]
-    }
-
-    /// Registers an issued request with its settlement shard, enabling
-    /// later evidence submission for its nonce.
-    pub(crate) fn register(&self, request: &TransactionRequest, now: Duration) {
-        let entry = PendingNonce {
-            request_bytes: request.to_bytes(),
-            transaction: request.transaction.clone(),
-            issued_at: now,
-        };
-        self.restore_pending(*request.nonce.as_bytes(), entry);
-    }
-
-    /// Restores an outstanding entry into its settlement shard from a
-    /// recovered journal: the challenge was issued (and persisted)
-    /// before the crash, so its evidence stays settleable after restart.
-    pub(crate) fn restore_pending(&self, nonce: [u8; 20], pending: PendingNonce) {
-        let digest = Sha1Digest(nonce);
-        let shard = self.shard_of(&digest);
-        shard.ledger.lock().register(&digest, pending);
-        shard.cells.registered.incr();
-    }
-
-    /// Restores a consumed nonce into its settlement shard so replayed
-    /// evidence keeps losing after a restart.
-    pub(crate) fn restore_used(&self, nonce: [u8; 20]) {
-        let digest = Sha1Digest(nonce);
-        self.shard_of(&digest).ledger.lock().restore_used(nonce);
-    }
-
-    /// Exports the full ledger state across all shards — snapshot
-    /// support: `(outstanding entries, consumed nonces)`, both sorted by
-    /// nonce for deterministic snapshots.
-    pub fn ledger_export(&self) -> LedgerExport {
-        let mut pending = Vec::new();
-        let mut used = Vec::new();
-        for shard in &self.shards {
-            let ledger = shard.ledger.lock();
-            pending.extend(ledger.pending_entries().map(|(n, p)| (*n, p.clone())));
-            used.extend(ledger.used_entries().copied());
-        }
-        pending.sort_by_key(|(n, _)| *n);
-        used.sort_unstable();
-        (pending, used)
-    }
-
-    /// Settles evidence for `order` and journals the verdict: preflight
-    /// the shard (read-mostly), run [`check_evidence`] with AIK
-    /// certificates served from the cache and no lock held, settle the
-    /// nonce, then write the decision ahead of returning it
-    /// (WAL-before-ack). A concurrent duplicate loses the settle race and
-    /// reports `Replayed`, exactly like a sequential replay.
+    /// Settles evidence for `order` and journals the verdict: the core's
+    /// [`Settler::settle_evidence`] with AIK certificates served from the
+    /// cache, then the decision written ahead of returning it
+    /// (WAL-before-ack).
     ///
     /// # Errors
     ///
-    /// The first failing check as a [`VerifyError`]; the nonce is
-    /// consumed on success and on `NotConfirmed`, and stays pending on
-    /// retryable failures.
+    /// As [`Settler::settle_evidence`].
     pub fn verify_settling(
         &self,
         order: u64,
         evidence: &Evidence,
         now: Duration,
     ) -> Result<VerifiedTransaction, VerifyError> {
-        let outcome = self.settle_evidence(evidence, now);
+        let outcome = self.settler.settle_evidence(evidence, now, |cert| {
+            self.cache.resolve(cert, self.settler.ca_key())
+        });
         self.journal_verdict(order, evidence, now, &outcome);
         outcome
-    }
-
-    /// The settling decision of [`Settlement::verify_settling`], before
-    /// it is journaled.
-    fn settle_evidence(
-        &self,
-        evidence: &Evidence,
-        now: Duration,
-    ) -> Result<VerifiedTransaction, VerifyError> {
-        let token = evidence
-            .token()
-            .map_err(|_| VerifyError::MalformedEvidence)?;
-        let shard = self.shard_of(&token.nonce);
-        let pending = shard
-            .ledger
-            .lock()
-            .preflight(&token.nonce, now)
-            .inspect_err(|e| shard.cells.count(e))?;
-        check_evidence(&token, &pending, evidence, &self.trusted_pals, |cert| {
-            self.cache.resolve(cert, &self.ca_key)
-        })
-        .inspect_err(|e| shard.cells.count(e))?;
-        let pending = shard
-            .ledger
-            .lock()
-            .settle(&token.nonce, now)
-            .inspect_err(|e| shard.cells.count(e))?;
-        if token.verdict != Verdict::Confirmed {
-            // The nonce is consumed either way — the transaction settled
-            // as rejected.
-            shard.cells.rejected.incr();
-            return Err(VerifyError::NotConfirmed(token.verdict));
-        }
-        shard.cells.accepted.incr();
-        Ok(VerifiedTransaction {
-            transaction: pending.transaction,
-            mode: token.mode,
-            attempts: token.attempts,
-        })
     }
 
     /// Journals a verdict on `order`'s evidence and waits for a covering
@@ -650,8 +499,8 @@ impl VerifierService {
         Self::serve(settlement, config)
     }
 
-    /// Starts the worker pool around an existing settlement core, which
-    /// keeps its own shards, cache, policy and journal: only `config`'s
+    /// Starts the worker pool around an existing settlement, which keeps
+    /// its own shards, cache, policy and journal: only `config`'s
     /// `threads`, `queue_depth`, `recorder` and `admission` apply.
     pub(crate) fn serve(settlement: Arc<Settlement>, config: ServiceConfig) -> Self {
         let threads = config.threads.max(1);
@@ -695,7 +544,7 @@ impl VerifierService {
     /// Registers an issued request with its settlement shard, enabling
     /// later evidence submission for its nonce.
     pub fn register(&self, request: &TransactionRequest, now: Duration) {
-        self.inner.settlement.register(request, now);
+        self.inner.settlement.settler().register(request, now);
     }
 
     /// Submits evidence for settling verification, blocking while the
@@ -827,11 +676,7 @@ impl VerifierService {
     pub fn stats(&self) -> ServiceStats {
         let settlement = &self.inner.settlement;
         ServiceStats {
-            shards: settlement
-                .shards
-                .iter()
-                .map(|s| s.cells.snapshot())
-                .collect(),
+            shards: settlement.settler().counters(),
             cert_cache_hits: settlement.cache.hits.get(),
             cert_cache_misses: settlement.cache.misses.get(),
             jobs_shed: self.inner.shed.get(),
@@ -987,7 +832,7 @@ mod tests {
             .unwrap()
             .wait();
         assert_eq!(verdict, Err(VerifyError::Expired));
-        assert!(svc.inner.settlement.ledger_export().0.is_empty());
+        assert!(svc.inner.settlement.settler().ledger_export().0.is_empty());
     }
 
     #[test]
@@ -999,7 +844,7 @@ mod tests {
         let verdict = svc.submit_evidence(bad, w.now).unwrap().wait();
         assert_eq!(verdict, Err(VerifyError::BadQuote));
         // Crypto failures are retryable: the genuine evidence still lands.
-        assert_eq!(svc.inner.settlement.ledger_export().0.len(), 1);
+        assert_eq!(svc.inner.settlement.settler().ledger_export().0.len(), 1);
         assert!(svc
             .submit_evidence(w.evidence[0].clone(), w.now)
             .unwrap()

@@ -20,7 +20,7 @@ fn main() {
     provider.attach_service(4);
     println!(
         "service attached: 4 worker threads, {} nonce shards\n",
-        provider.settlement().shard_count()
+        provider.settlement().settler().shard_count()
     );
 
     let mut machine = Machine::new(MachineConfig::fast_for_tests(43));

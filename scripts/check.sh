@@ -29,6 +29,9 @@ cargo run -q -p utp-analyze -- --root crates/analyze --format json > /dev/null
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> shim suites (shims/* are outside default-members; VerifierService's backpressure rides the crossbeam shim's bounded channel)"
+cargo test -q -p rand -p proptest -p crossbeam -p parking_lot
+
 echo "==> crypto suite optimized (perfbench measures release builds, where overflow checks are off)"
 cargo test --release -q -p utp-crypto
 

@@ -7,6 +7,10 @@
 //! 3. an unissued nonce never verifies;
 //! 4. accepted count == number of distinct nonces that reached a
 //!    successful verify.
+//!
+//! `Verifier` is a one-shard use of the settlement core the provider
+//! runs (`Settler`), so the search exercises the production settle path
+//! and invariant 4 reads that core's counters.
 
 use std::time::Duration;
 use utp::core::ca::PrivacyCa;
@@ -113,7 +117,8 @@ impl ModelState {
                 }
             }
         }
-        // Invariant 4 (continuously): verifier stats agree with the model.
+        // Invariant 4 (continuously): the settlement core's counters
+        // agree with the model.
         assert_eq!(self.verifier.stats().accepted, self.successes);
     }
 }

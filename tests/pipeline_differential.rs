@@ -1,19 +1,23 @@
-//! Differential test: the sharded `VerifierService` must be
-//! verdict-for-verdict identical to the serial `Verifier` on seeded
-//! random batches of genuine and corrupted evidence, for every shard ×
-//! thread combination in {1,2,4} × {1,2,8} — and a nonce double-spend
-//! submitted concurrently must settle exactly once.
+//! Routing test: the sharded `VerifierService` must be verdict-for-verdict
+//! identical to the inline one-shard settlement core on seeded random
+//! batches of genuine and corrupted evidence, for every shard × thread
+//! combination in {1,2,4} × {1,2,8} — and a nonce double-spend submitted
+//! concurrently must settle exactly once.
+//!
+//! Both sides decide through the one `Settler::settle_evidence`, so this
+//! checks routing across shards, threads and the certificate cache, not
+//! two implementations.
 //!
 //! Run with `--nocapture` to see per-combination timing.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
-use utp::core::ca::PrivacyCa;
+use utp::core::ca::{AikCertificate, PrivacyCa};
 use utp::core::client::{Client, ClientConfig};
 use utp::core::operator::{ConfirmingHuman, Intent};
 use utp::core::protocol::{Evidence, Transaction, TransactionRequest};
-use utp::core::verifier::{Verifier, VerifyError};
+use utp::core::verifier::{Settler, Verifier, VerifierConfig, VerifyError};
 use utp::crypto::rsa::RsaPublicKey;
 use utp::platform::machine::{Machine, MachineConfig};
 use utp::server::service::{ServiceConfig, VerifierService};
@@ -108,21 +112,31 @@ fn build_world(n: usize, seed: u64) -> World {
     }
 }
 
-/// Compressed verdict for comparison: transaction id on success, the
+/// Reference verdicts from the inline one-shard core, with only the
+/// registered requests registered and every certificate validated
+/// afresh, compressed for comparison: transaction id on success, the
 /// typed error otherwise.
-fn serial_verdicts(world: &World) -> Vec<Result<u64, VerifyError>> {
-    let mut verifier = Verifier::new(world.ca_key.clone(), 9_999);
+fn reference_verdicts(world: &World) -> Vec<Result<u64, VerifyError>> {
+    let policy = VerifierConfig::default();
+    let settler = Settler::new(
+        world.ca_key.clone(),
+        policy.trusted_pals,
+        policy.nonce_ttl,
+        1,
+    );
     for (request, issued_at, registered) in &world.requests {
         if *registered {
-            verifier.import_request(request, *issued_at);
+            settler.register(request, *issued_at);
         }
     }
     world
         .evidence
         .iter()
         .map(|ev| {
-            verifier
-                .verify(ev, world.submit_at)
+            settler
+                .settle_evidence(ev, world.submit_at, |cert| {
+                    AikCertificate::from_bytes(cert)?.validate(&world.ca_key)
+                })
                 .map(|v| v.transaction.id)
         })
         .collect()
@@ -147,7 +161,7 @@ fn service_matches_serial_verifier_on_mixed_batches() {
     let mut seen = Vec::new();
     for seed in [42u64, 1337] {
         let world = build_world(36, seed);
-        let reference = serial_verdicts(&world);
+        let reference = reference_verdicts(&world);
         seen.extend(reference.iter().filter_map(|r| r.err()));
         // The mix must actually exercise both paths.
         assert!(

@@ -153,7 +153,8 @@ fn verifier_counts_every_rejection_reason_distinctly() {
     let _ = verifier.verify(&s.evidence, s.machine.now());
     let stats = verifier.stats();
     assert_eq!(stats.accepted, 1);
-    assert!(stats.rejected.len() >= 3, "{:?}", stats.rejected);
+    assert_eq!(stats.rejected, 2, "{stats:?}");
+    assert_eq!(stats.replayed, 1, "{stats:?}");
 }
 
 #[test]
