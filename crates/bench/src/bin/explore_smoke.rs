@@ -17,8 +17,7 @@ use std::process::ExitCode;
 use utp_attack::playbooks;
 use utp_bench::experiments::e12_explore as e12;
 use utp_explore::{
-    default_alphabet, explore, render_counterexample, replay_schedule, shrink, AuditTruncationShim,
-    DoubleSettleShim, ExploreConfig, ForgottenOrderShim, Fork, Scenario,
+    catch, default_alphabet, explore, replay_schedule, Bug, ExploreConfig, Scenario,
 };
 
 fn explore_log(config: &ExploreConfig) -> (String, usize, bool) {
@@ -28,52 +27,12 @@ fn explore_log(config: &ExploreConfig) -> (String, usize, bool) {
     (report.log, report.violations.len(), report.budget_exhausted)
 }
 
-fn shim_counterexample<S: Fork>(
-    name: &str,
-    system: S,
-    invariant: &'static str,
-) -> Result<String, String> {
-    let (scenario, _root) = Scenario::build(e12::SEED, e12::ORDERS);
-    let alphabet = default_alphabet(scenario.order_count(), scenario.nonce_ttl);
-    let config = ExploreConfig {
-        max_depth: 2,
-        max_states: 5_000,
-        strategy: utp_explore::Strategy::Bfs,
-        stop_at_first_violation: true,
-    };
-    let report = explore(&scenario, &system, &alphabet, &config);
-    let found = report
-        .violations
-        .first()
-        .ok_or_else(|| format!("explorer missed the seeded {name} bug"))?;
-    if found.violation.invariant != invariant {
-        return Err(format!(
-            "{name}: expected invariant {invariant}, explorer reported {}",
-            found.violation.invariant
-        ));
-    }
-    let minimal = shrink(&scenario, &system, &found.schedule, invariant);
-    let rendered = render_counterexample(&scenario, &system, &minimal, invariant);
-    let replay_a = replay_schedule(&scenario, &system, &minimal);
-    let replay_b = replay_schedule(&scenario, &system, &minimal);
-    if replay_a.trace != replay_b.trace {
-        return Err(format!(
-            "{name}: counterexample replay is not deterministic"
-        ));
-    }
-    Ok(format!("=== {name}\n{rendered}"))
-}
-
 fn main() -> ExitCode {
     let nightly = std::env::args().any(|a| a == "--nightly");
     let config = if nightly {
         ExploreConfig::nightly()
     } else {
-        ExploreConfig {
-            max_depth: 2,
-            max_states: 5_000,
-            ..ExploreConfig::smoke()
-        }
+        ExploreConfig::smoke()
     };
 
     // Real stack: clean, and byte-identical across two runs.
@@ -105,27 +64,12 @@ fn main() -> ExitCode {
     }
 
     // Oracle self-check: all seeded bugs found, shrunk, and replayable.
-    let fresh = || Scenario::build(e12::SEED, e12::ORDERS).1;
     let mut counterexamples = String::new();
-    for result in [
-        shim_counterexample(
-            "double-settle",
-            DoubleSettleShim::new(fresh()),
-            "balance-conservation",
-        ),
-        shim_counterexample(
-            "forgotten-order",
-            ForgottenOrderShim::new(fresh()),
-            "recovery-matches-durable",
-        ),
-        shim_counterexample(
-            "audit-truncation",
-            AuditTruncationShim::new(fresh()),
-            "audit-append-only",
-        ),
-    ] {
-        match result {
-            Ok(text) => counterexamples.push_str(&text),
+    for bug in Bug::ALL {
+        match catch(bug, e12::SEED, e12::ORDERS, &ExploreConfig::smoke()) {
+            Ok(caught) => {
+                let _ = write!(counterexamples, "=== {}\n{}", bug.name(), caught.rendered);
+            }
             Err(e) => {
                 eprintln!("explore smoke FAILED: {e}");
                 return ExitCode::FAILURE;
@@ -168,11 +112,12 @@ fn main() -> ExitCode {
     let _ = write!(
         summary,
         "explore smoke OK ({}): {} log lines byte-identical across 2 runs, \
-         0 violations on the real stack, 3/3 seeded bugs caught and shrunk, \
+         0 violations on the real stack, {n}/{n} seeded bugs caught and shrunk, \
          {} playbooks clean; artifacts in target/explore/",
         if nightly { "nightly" } else { "smoke" },
         log_a.lines().count(),
         playbooks::all().len(),
+        n = Bug::ALL.len(),
     );
     println!("{summary}");
     ExitCode::SUCCESS

@@ -7,9 +7,9 @@
 //! wall-clock number here, since the explorer itself runs entirely on
 //! the virtual clock and host time only prices the harness).
 //!
-//! **Part B** is the oracle's self-check: each deliberately buggy
-//! provider shim must be caught, and its counterexample must shrink to
-//! the pinned minimal schedule.
+//! **Part B** is the oracle's self-check: every seeded bug in
+//! `utp_explore::Bug::ALL` must be caught by its invariant, and its
+//! counterexample must shrink to the pinned minimal schedule.
 //!
 //! Regenerate: `cargo run -p utp-bench --bin e12_explore`
 
@@ -17,8 +17,7 @@ use std::time::Instant;
 
 use crate::table;
 use utp_explore::{
-    default_alphabet, explore, render_schedule, shrink, AuditTruncationShim, DoubleSettleShim,
-    ExploreConfig, ForgottenOrderShim, Fork, Scenario, Strategy,
+    catch, default_alphabet, explore, render_schedule, Bug, ExploreConfig, Scenario, Strategy,
 };
 
 /// Scenario seed shared with the tier-1 exploration tests.
@@ -100,31 +99,19 @@ fn explore_row(strategy: Strategy, max_depth: usize, max_states: usize) -> Explo
     }
 }
 
-fn shim_row<S: Fork>(shim: &'static str, system: S, max_states: usize) -> ShimRow {
-    let (scenario, _root) = Scenario::build(SEED, ORDERS);
-    let alphabet = default_alphabet(scenario.order_count(), scenario.nonce_ttl);
+fn shim_row(bug: Bug, max_states: usize) -> ShimRow {
     let config = ExploreConfig {
-        max_depth: 2,
         max_states,
-        strategy: Strategy::Bfs,
-        stop_at_first_violation: true,
+        ..ExploreConfig::smoke()
     };
-    let report = explore(&scenario, &system, &alphabet, &config);
-    let found = report
-        .violations
-        .first()
-        .expect("explorer catches every seeded bug");
-    let minimal = shrink(
-        &scenario,
-        &system,
-        &found.schedule,
-        found.violation.invariant,
-    );
+    let caught = catch(bug, SEED, ORDERS, &config).unwrap_or_else(|e| panic!("{e}"));
     ShimRow {
-        shim,
-        invariant: found.violation.invariant,
-        found_len: found.schedule.len(),
-        minimal: render_schedule(&minimal).trim_end().replace('\n', " | "),
+        shim: bug.name(),
+        invariant: caught.found.violation.invariant,
+        found_len: caught.found.schedule.len(),
+        minimal: render_schedule(&caught.minimal)
+            .trim_end()
+            .replace('\n', " | "),
     }
 }
 
@@ -138,20 +125,10 @@ pub fn run(depths: &[usize], max_states: usize) -> Report {
     if let Some(deepest) = depths.iter().max() {
         coverage.push(explore_row(Strategy::Dfs, *deepest, max_states));
     }
-    let fresh = || Scenario::build(SEED, ORDERS).1;
-    let detection = vec![
-        shim_row("double-settle", DoubleSettleShim::new(fresh()), max_states),
-        shim_row(
-            "forgotten-order",
-            ForgottenOrderShim::new(fresh()),
-            max_states,
-        ),
-        shim_row(
-            "audit-truncation",
-            AuditTruncationShim::new(fresh()),
-            max_states,
-        ),
-    ];
+    let detection = Bug::ALL
+        .iter()
+        .map(|bug| shim_row(*bug, max_states))
+        .collect();
     Report {
         coverage,
         detection,
@@ -264,11 +241,10 @@ mod tests {
     fn e12_small_run_is_clean_and_detects_all_shims() {
         let report = run(&[1], 500);
         assert!(clean(&report));
-        assert_eq!(report.detection.len(), 3);
-        assert!(report
-            .detection
-            .iter()
-            .any(|r| r.invariant == "balance-conservation"));
+        assert_eq!(report.detection.len(), Bug::ALL.len());
+        for (row, bug) in report.detection.iter().zip(Bug::ALL) {
+            assert_eq!((row.shim, row.invariant), (bug.name(), bug.invariant()));
+        }
         let rendered = render(&report);
         assert!(rendered.contains("E12a"));
         assert!(rendered.contains("minimal schedule"));

@@ -370,7 +370,9 @@ pub struct ShardCounters {
     /// Evidence accepted (human-confirmed, nonce consumed).
     pub accepted: u64,
     /// Evidence rejected by a crypto or nonce rule, or settled with a
-    /// verdict other than `Confirmed`.
+    /// verdict other than `Confirmed`. Evidence whose token does not
+    /// parse names no nonce, so no shard owns it: it counts here on
+    /// shard 0.
     pub rejected: u64,
     /// Replays caught, including concurrent duplicate submissions that
     /// lost the settle race.
@@ -542,7 +544,9 @@ impl Settler {
     /// (read-mostly), run [`check_evidence`] with AIK certificates
     /// resolved by `resolve_aik` and no lock held, settle the nonce, then
     /// check the verdict. A concurrent duplicate loses the settle race
-    /// and reports `Replayed`, exactly like a sequential replay.
+    /// and reports `Replayed`, exactly like a sequential replay. Every
+    /// submission is counted once: a token that does not parse has no
+    /// shard, so its `MalformedEvidence` counts as rejected on shard 0.
     ///
     /// # Errors
     ///
@@ -557,7 +561,8 @@ impl Settler {
     ) -> Result<VerifiedTransaction, VerifyError> {
         let token = evidence
             .token()
-            .map_err(|_| VerifyError::MalformedEvidence)?;
+            .map_err(|_| VerifyError::MalformedEvidence)
+            .inspect_err(|e| self.shards[0].counters.lock().count(e))?;
         let shard = self.shard_of(&token.nonce);
         let pending = shard
             .ledger

@@ -55,11 +55,12 @@ pub struct ExploreConfig {
 }
 
 impl ExploreConfig {
-    /// The CI smoke budget: BFS, shallow, small state cap.
+    /// The CI smoke budget: BFS to depth 2 within 5,000 states, which
+    /// drains the frontier of the two-order scenario.
     pub fn smoke() -> Self {
         ExploreConfig {
-            max_depth: 3,
-            max_states: 2_000,
+            max_depth: 2,
+            max_states: 5_000,
             strategy: Strategy::Bfs,
             stop_at_first_violation: false,
         }
@@ -184,7 +185,7 @@ pub fn explore<S: Fork>(
             checks += INVARIANT_COUNT;
             let mut schedule = node.schedule.clone();
             schedule.push(*action);
-            if let Err(violation) = oracle.check(&view, action.is_crash()) {
+            if let Err(violation) = oracle.check(&view, action.is_crash(), now) {
                 let _ = writeln!(
                     log,
                     "violation parent={} via=[{}] invariant={}",

@@ -17,13 +17,13 @@
 //! * [`sut`] wraps the real `ServiceProvider` + journal stack behind a
 //!   forkable [`sut::System`] interface with a canonical observable
 //!   [`sut::StateView`].
-//! * [`oracle`] holds the four invariants, checked after every action.
+//! * [`oracle`] holds the seven invariants, checked after every action.
 //! * [`explorer`] enumerates interleavings breadth- or depth-first
 //!   with fingerprint deduplication under explicit bounds.
 //! * [`shrink`](mod@shrink) replays counterexample schedules
 //!   deterministically and ddmin-shrinks them to minimal form.
-//! * [`shims`] are deliberately buggy providers the explorer must
-//!   catch — the oracle's self-check.
+//! * [`shims`] lists the seeded provider bugs the explorer must catch,
+//!   each with the invariant that catches it, and runs that self-check.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,6 +40,6 @@ pub use action::{default_alphabet, render_schedule, Action, CrashKind, EvidenceK
 pub use explorer::{explore, Counterexample, ExploreConfig, ExploreReport, Strategy};
 pub use oracle::{Oracle, Violation, INVARIANT_COUNT};
 pub use scenario::{Scenario, ScenarioOrder, ACCOUNT, OPENING_CENTS};
-pub use shims::{AuditTruncationShim, DoubleSettleShim, ForgottenOrderShim};
+pub use shims::{catch, Bug, Caught, Shim};
 pub use shrink::{render_counterexample, replay_schedule, shrink, ReplayOutcome};
 pub use sut::{apply_action, fingerprint, Fork, RealSystem, StateView, System};

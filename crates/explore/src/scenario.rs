@@ -40,6 +40,8 @@ pub struct ScenarioOrder {
     pub amount_cents: u64,
     /// The challenge nonce bound to this order.
     pub nonce: [u8; 20],
+    /// Virtual time the provider issued the challenge.
+    pub issued_at: Duration,
     /// Digest of the transaction the human saw and approved.
     pub tx_digest: [u8; 20],
     /// Genuine human-approved evidence.
@@ -92,14 +94,9 @@ impl Scenario {
         let mut orders = Vec::with_capacity(k);
         for i in 0..k {
             let amount = 4_200 + 1_100 * i as u64;
-            let (order_id, request) = provider.place_order(
-                ACCOUNT,
-                "shop.example",
-                amount,
-                "EUR",
-                "explore",
-                machine.now(),
-            );
+            let issued_at = machine.now();
+            let (order_id, request) =
+                provider.place_order(ACCOUNT, "shop.example", amount, "EUR", "explore", issued_at);
             let mut human = ConfirmingHuman::new(
                 Intent::approving(&request.transaction),
                 seed ^ (0x100 + i as u64),
@@ -129,6 +126,7 @@ impl Scenario {
                 order_id,
                 amount_cents: amount,
                 nonce: *request.nonce.as_bytes(),
+                issued_at,
                 tx_digest: *request.transaction.digest().as_bytes(),
                 genuine,
                 rejected,

@@ -41,7 +41,7 @@ pub fn replay_schedule<S: Fork>(
     for (i, action) in schedule.iter().enumerate() {
         let result = apply_action(&mut sut, scenario, &mut now, action);
         let _ = writeln!(trace, "step={i} action=[{action}] result={result}");
-        if let Err(violation) = oracle.check(&sut.view(), action.is_crash()) {
+        if let Err(violation) = oracle.check(&sut.view(), action.is_crash(), now) {
             let _ = writeln!(
                 trace,
                 "violation step={i} invariant={}",

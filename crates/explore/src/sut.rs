@@ -55,7 +55,8 @@ pub struct AuditView {
 /// Canonical observable state of a system under test: everything the
 /// paper's server-side guarantees quantify over, in deterministic
 /// order, plus the raw durable bytes so recovery consistency can be
-/// checked by pure replay.
+/// checked by pure replay, and the settlement core's `accepted` total
+/// for the oracle's counter check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StateView {
     /// `(account, balance_cents)`, sorted by account name.
@@ -72,6 +73,12 @@ pub struct StateView {
     pub durable_snapshot: Vec<u8>,
     /// Durable WAL bytes.
     pub durable_log: Vec<u8>,
+    /// Evidence the settlement core accepted, summed over its shards
+    /// (`Settler::counters`). Recovery starts it again at 0, and it is
+    /// not state the guarantees quantify over, so neither
+    /// [`StateView::canonical_bytes`] nor [`StateView::semantic_diff`]
+    /// reads it.
+    pub accepted: u64,
 }
 
 impl StateView {
@@ -220,6 +227,7 @@ pub fn view_of_recovered(state: &RecoveredState) -> StateView {
         audit,
         durable_snapshot: Vec::new(),
         durable_log: Vec::new(),
+        accepted: 0,
     }
 }
 
@@ -421,7 +429,8 @@ impl System for RealSystem {
             })
             .collect();
         orders.sort_by_key(|o| o.id);
-        let (pending, used) = self.provider.settlement().settler().ledger_export();
+        let settler = self.provider.settlement().settler();
+        let (pending, used) = settler.ledger_export();
         let pending = pending.into_iter().map(|(nonce, _)| nonce).collect();
         let audit = self
             .provider
@@ -442,6 +451,7 @@ impl System for RealSystem {
             audit,
             durable_snapshot,
             durable_log,
+            accepted: settler.counters().iter().map(|c| c.accepted).sum(),
         }
     }
 }

@@ -1,38 +1,21 @@
-//! Explorer integration tests: soundness of the oracle (seeded bugs
-//! are found and shrink to pinned minimal schedules), cleanliness of
-//! the real stack at the CI depth bound, and byte-level determinism of
-//! exploration and replay.
+//! Explorer integration tests: soundness of the oracle (every seeded
+//! bug is found and shrinks to its pinned minimal schedule),
+//! cleanliness of the real stack at the CI depth bound, and byte-level
+//! determinism of exploration and replay.
 
 use utp_explore::{
-    default_alphabet, explore, render_counterexample, render_schedule, replay_schedule, shrink,
-    Action, AuditTruncationShim, CrashKind, DoubleSettleShim, EvidenceKind, ExploreConfig,
-    ForgottenOrderShim, RealSystem, Scenario, Strategy,
+    catch, default_alphabet, explore, render_schedule, replay_schedule, shrink, Action, Bug,
+    CrashKind, EvidenceKind, ExploreConfig, Scenario, Shim, Strategy, INVARIANT_COUNT,
 };
 
 const SEED: u64 = 7;
 const ORDERS: usize = 2;
 
-fn smoke_config() -> ExploreConfig {
-    ExploreConfig {
-        max_depth: 2,
-        max_states: 5_000,
-        strategy: Strategy::Bfs,
-        stop_at_first_violation: false,
-    }
-}
-
-fn first_violation_config() -> ExploreConfig {
-    ExploreConfig {
-        stop_at_first_violation: true,
-        ..smoke_config()
-    }
-}
-
 #[test]
 fn real_stack_is_clean_at_the_smoke_bound() {
     let (scenario, root) = Scenario::build(SEED, ORDERS);
     let alphabet = default_alphabet(scenario.order_count(), scenario.nonce_ttl);
-    let report = explore(&scenario, &root, &alphabet, &smoke_config());
+    let report = explore(&scenario, &root, &alphabet, &ExploreConfig::smoke());
     assert!(
         report.violations.is_empty(),
         "real stack violated an invariant: {:?}",
@@ -42,6 +25,7 @@ fn real_stack_is_clean_at_the_smoke_bound() {
     assert!(report.explored > 100, "explored only {}", report.explored);
     assert!(report.pruned > 0, "fingerprint dedup never fired");
     assert_eq!(report.deepest, 2);
+    assert!(report.checks >= report.explored * INVARIANT_COUNT);
 }
 
 #[test]
@@ -63,7 +47,7 @@ fn exploration_forks_the_sharded_settlement_across_shards() {
         settler.shard_count()
     );
     let alphabet = default_alphabet(scenario.order_count(), scenario.nonce_ttl);
-    let report = explore(&scenario, &root, &alphabet, &smoke_config());
+    let report = explore(&scenario, &root, &alphabet, &ExploreConfig::smoke());
     assert_eq!(report.violations.len(), 0, "cross-shard exploration");
     assert!(!report.budget_exhausted);
 }
@@ -73,7 +57,7 @@ fn exploration_log_is_byte_identical_across_runs() {
     let run = || {
         let (scenario, root) = Scenario::build(SEED, ORDERS);
         let alphabet = default_alphabet(scenario.order_count(), scenario.nonce_ttl);
-        explore(&scenario, &root, &alphabet, &smoke_config()).log
+        explore(&scenario, &root, &alphabet, &ExploreConfig::smoke()).log
     };
     let first = run();
     let second = run();
@@ -85,14 +69,14 @@ fn exploration_log_is_byte_identical_across_runs() {
 fn dfs_and_bfs_reach_the_same_state_space() {
     let (scenario, root) = Scenario::build(SEED, ORDERS);
     let alphabet = default_alphabet(scenario.order_count(), scenario.nonce_ttl);
-    let bfs = explore(&scenario, &root, &alphabet, &smoke_config());
+    let bfs = explore(&scenario, &root, &alphabet, &ExploreConfig::smoke());
     let dfs = explore(
         &scenario,
         &root,
         &alphabet,
         &ExploreConfig {
             strategy: Strategy::Dfs,
-            ..smoke_config()
+            ..ExploreConfig::smoke()
         },
     );
     assert_eq!(bfs.explored, dfs.explored);
@@ -100,60 +84,45 @@ fn dfs_and_bfs_reach_the_same_state_space() {
     assert_eq!(bfs.violations.len(), dfs.violations.len());
 }
 
-/// Runs the explorer against a buggy shim, shrinks the first
-/// counterexample, and checks the full render against its golden
-/// fixture.
-fn assert_shim_caught<S, F>(make: F, invariant: &str, fixture: &str)
-where
-    S: utp_explore::Fork,
-    F: Fn(RealSystem) -> S,
-{
-    let (scenario, root) = Scenario::build(SEED, ORDERS);
-    let shim = make(root);
-    let alphabet = default_alphabet(scenario.order_count(), scenario.nonce_ttl);
-    let report = explore(&scenario, &shim, &alphabet, &first_violation_config());
-    let found = report
-        .violations
-        .first()
-        .unwrap_or_else(|| panic!("explorer missed the seeded {invariant} bug"));
-    assert_eq!(found.violation.invariant, invariant);
-    let minimal = shrink(&scenario, &shim, &found.schedule, invariant);
+/// Runs the seeded-bug self-check for `bug` and checks the full render
+/// against its golden fixture.
+fn assert_caught(bug: Bug) {
+    let caught =
+        catch(bug, SEED, ORDERS, &ExploreConfig::smoke()).unwrap_or_else(|e| panic!("{e}"));
     assert!(
-        minimal.len() <= found.schedule.len(),
+        caught.minimal.len() <= caught.found.schedule.len(),
         "shrinking grew the schedule"
     );
-    let rendered = render_counterexample(&scenario, &shim, &minimal, invariant);
+    let fixture = format!(
+        "{}/tests/fixtures/{}.counterexample",
+        env!("CARGO_MANIFEST_DIR"),
+        bug.name().replace('-', "_")
+    );
+    let pinned = std::fs::read_to_string(&fixture).unwrap_or_else(|e| panic!("{fixture}: {e}"));
     assert_eq!(
-        rendered, fixture,
+        caught.rendered, pinned,
         "minimal counterexample drifted from its pinned fixture"
     );
 }
 
 #[test]
 fn double_settle_bug_is_found_and_shrinks_to_fixture() {
-    assert_shim_caught(
-        DoubleSettleShim::new,
-        "balance-conservation",
-        include_str!("fixtures/double_settle.counterexample"),
-    );
+    assert_caught(Bug::DoubleSettle);
 }
 
 #[test]
 fn forgotten_order_bug_is_found_and_shrinks_to_fixture() {
-    assert_shim_caught(
-        ForgottenOrderShim::new,
-        "recovery-matches-durable",
-        include_str!("fixtures/forgotten_order.counterexample"),
-    );
+    assert_caught(Bug::ForgottenOrder);
 }
 
 #[test]
 fn audit_truncation_bug_is_found_and_shrinks_to_fixture() {
-    assert_shim_caught(
-        AuditTruncationShim::new,
-        "audit-append-only",
-        include_str!("fixtures/audit_truncation.counterexample"),
-    );
+    assert_caught(Bug::AuditTruncation);
+}
+
+#[test]
+fn cross_shard_double_settle_bug_is_found_and_shrinks_to_fixture() {
+    assert_caught(Bug::CrossShardDoubleSettle);
 }
 
 #[test]
@@ -167,7 +136,7 @@ fn counterexamples_replay_byte_identically() {
     ];
     let run = || {
         let (scenario, root) = Scenario::build(SEED, ORDERS);
-        let shim = ForgottenOrderShim::new(root);
+        let shim = Shim::new(Bug::ForgottenOrder, root);
         replay_schedule(&scenario, &shim, &minimal)
     };
     let first = run();
@@ -196,7 +165,7 @@ fn shrinker_drops_noise_actions() {
         Action::Checkpoint,
     ];
     let (scenario, root) = Scenario::build(SEED, ORDERS);
-    let shim = DoubleSettleShim::new(root);
+    let shim = Shim::new(Bug::DoubleSettle, root);
     assert!(replay_schedule(&scenario, &shim, &noisy)
         .violation
         .is_some());

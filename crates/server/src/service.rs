@@ -823,6 +823,30 @@ mod tests {
     }
 
     #[test]
+    fn every_worker_job_is_counted_once() {
+        let w = world(1, 1250);
+        let svc = service(&w, 1, 4);
+        let mut tampered = w.evidence[0].clone();
+        tampered.quote.signature[0] ^= 1;
+        let mut garbage = w.evidence[0].clone();
+        garbage.token_bytes = vec![1, 2, 3];
+        let submissions = [
+            w.evidence[0].clone(),
+            w.evidence[0].clone(),
+            tampered,
+            garbage,
+        ];
+        let _ = svc.verify_evidence_batch(submissions.to_vec(), w.now);
+        let stats = svc.shutdown();
+        let t = stats.totals();
+        assert_eq!(
+            t.accepted + t.rejected + t.replayed,
+            stats.worker_jobs.iter().sum::<u64>(),
+            "{t:?}"
+        );
+    }
+
+    #[test]
     fn expired_nonce_rejected() {
         let w = world(1, 1300);
         let svc = service(&w, 1, 1);

@@ -148,12 +148,16 @@ fn verifier_counts_every_rejection_reason_distinctly() {
     token.nonce = Sha1::digest(b"unknown");
     ev.token_bytes = token.to_bytes();
     let _ = verifier.verify(&ev, s.machine.now());
+    // A token that does not parse.
+    let mut ev = s.evidence.clone();
+    ev.token_bytes = vec![1, 2, 3];
+    let _ = verifier.verify(&ev, s.machine.now());
     // Genuine accept, then replay.
     verifier.verify(&s.evidence, s.machine.now()).unwrap();
     let _ = verifier.verify(&s.evidence, s.machine.now());
     let stats = verifier.stats();
     assert_eq!(stats.accepted, 1);
-    assert_eq!(stats.rejected, 2, "{stats:?}");
+    assert_eq!(stats.rejected, 3, "{stats:?}");
     assert_eq!(stats.replayed, 1, "{stats:?}");
 }
 
