@@ -6,45 +6,38 @@
 //! checks the discipline that claim rests on, in the spirit of the
 //! automated-verification line of work around DRTM protocols.
 //!
-//! File-local passes (PR 1):
+//! Passes, by lint id (each id works in allow annotations and `--pass`):
 //!
-//! 1. [`passes::tcb_boundary`] — TCB files import only allowlisted crates;
-//! 2. [`passes::no_panic`] — no abort paths in TCB code;
-//! 3. [`passes::ct_discipline`] — secret comparisons go through `ct_eq`;
-//! 4. [`passes::forbid_unsafe`] — `#![forbid(unsafe_code)]` everywhere;
-//! 5. [`passes::wallclock`] — the simulated clock is the only time source.
+//! * `tcb-boundary` / `tcb-reachability` ([`passes::tcb`]) — TCB
+//!   files import only allowlisted crates, and everything the PAL entry
+//!   points reach lies in the declared TCB allowlist; both read one
+//!   table keyed by crate ([`report::TRUST`]), and the closure is
+//!   measured into a TCB-size report ([`report`]);
+//! * `no-panic-in-tcb` / `no-panic-transitive` ([`passes::no_panic`])
+//!   — no abort path in TCB code or in anything it reaches, from one
+//!   panic-site list;
+//! * [`passes::ct_discipline`] — secret comparisons go through `ct_eq`;
+//! * [`passes::forbid_unsafe`] — `#![forbid(unsafe_code)]` everywhere;
+//! * [`passes::wallclock`] — the simulated clock is the only time source;
+//! * [`passes::secret_taint`] — key material must not flow to
+//!   Debug/logging/wire sinks;
+//! * [`passes::lock_discipline`] — consistent lock order, no guard held
+//!   across blocking channel ops;
+//! * [`passes::untrusted_arith`] — length/offset values decoded from
+//!   wire or WAL bytes must pass a bounds check before feeding
+//!   arithmetic, indexing, or a narrowing cast;
+//! * [`passes::authz_flow`] — settlement sinks (store settle, `Settle`
+//!   journal records, Confirmed audit decisions, `Receipt`
+//!   construction, status demotion) must be dominated by their
+//!   authorization sources on every path, against the policy in
+//!   `scripts/authz_spec.json` ([`spec`]);
+//! * [`passes::protocol_order`] — declarative happens-before rules
+//!   (WAL-before-ack, WAL-before-challenge) hold on every path.
 //!
-//! Interprocedural passes over the conservative call graph ([`graph`]):
-//!
-//! 6. [`passes::tcb_reachability`] — everything reachable from the PAL
-//!    entry points must be in the declared TCB allowlist; the closure is
-//!    also measured into a TCB-size report ([`report`]);
-//! 7. [`passes::no_panic_transitive`] — TCB functions must not
-//!    transitively call panic paths;
-//! 8. [`passes::secret_taint`] — key material must not flow to
-//!    Debug/logging/wire sinks;
-//! 9. [`passes::lock_discipline`] — consistent lock order, no guard held
-//!    across blocking channel ops.
-//!
-//! Flow-sensitive passes (PR 6) run over statement-level CFGs
-//! ([`cfg`](mod@cfg)) with a worklist fixpoint solver ([`dataflow`]): the
-//! secret-taint, ct-discipline and lock-discipline passes track
-//! per-local state through branches and loops (zeroize kills taint,
-//! `drop(guard)` releases a lockset entry), and a fourth pass:
-//!
-//! 10. [`passes::untrusted_arith`] — length/offset values decoded from
-//!     wire or WAL bytes must pass a bounds check before feeding
-//!     arithmetic, indexing, or a narrowing cast.
-//!
-//! Authorization-flow passes (PR 8) lift the same machinery across the
-//! call graph against the policy in `scripts/authz_spec.json` ([`spec`]):
-//!
-//! 11. [`passes::authz_flow`] — settlement sinks (store settle, `Settle`
-//!     journal records, Confirmed audit decisions, `Receipt`
-//!     construction, status demotion) must be dominated by their
-//!     authorization sources on every path;
-//! 12. [`passes::protocol_order`] — declarative happens-before rules
-//!     (WAL-before-ack, WAL-before-challenge) hold on every path.
+//! The interprocedural passes read one call resolver ([`graph`]), which
+//! places every call site on the fns it names — or reports it foreign or
+//! unknown; the flow-sensitive ones run over statement-level CFGs
+//! ([`cfg`](mod@cfg)) with a worklist fixpoint solver ([`dataflow`]).
 //!
 //! Violations that are individually justified carry an inline
 //! `// utp-analyze: allow(<lint>) <reason>` annotation; the reason is
@@ -208,13 +201,14 @@ pub fn analyze_files_filtered(inputs: Vec<(String, String)>, only: Option<&str>)
 /// spec (site counts, post-suppression findings, anchor check).
 fn measure_authz(ws: &WorkspaceIndex, diags: &[Diagnostic]) -> spec::AuthzReport {
     let authz = spec::embedded();
-    let (scope_files, functions) = passes::authz_flow::scope_stats(ws, authz);
+    let (scope_files, functions, grant_sites, sink_sites) =
+        passes::authz_flow::site_counts(ws, authz);
     spec::AuthzReport {
         scope_files,
         functions,
-        grant_sites: passes::authz_flow::grant_site_counts(ws, authz),
-        sink_sites: passes::authz_flow::sink_site_counts(ws, authz),
-        order_sites: passes::protocol_order::order_site_counts(ws, authz),
+        grant_sites,
+        sink_sites,
+        order_sites: passes::protocol_order::analyze(ws, authz).1,
         findings: diags
             .iter()
             .filter(|d| d.lint == "authorization-flow" || d.lint == "protocol-order")

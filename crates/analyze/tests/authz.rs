@@ -1,12 +1,18 @@
 //! Fixture-pinned tests for the authorization-flow and protocol-order
 //! passes (PR 8).
 //!
-//! The two revert-fixtures re-introduce PR 7's provider bugs — the
-//! evidence-order binding pre-check removed (`provider_unbound.rs`) and
-//! sticky-Confirmed removed (`store_demote.rs`) — and the passes must
-//! flag both, proving the static oracle catches what the dynamic
-//! explorer did. Each bad fixture ships with a clean twin so the tests
-//! pin the *boundary* of the rule, not just its firing.
+//! The revert-fixtures re-introduce real settlement bugs — the
+//! evidence-order binding pre-check removed (`provider_unbound.rs`),
+//! sticky-Confirmed removed (`store_demote.rs`), and the evidence check
+//! deleted from the settle wrapper (`settle_unchecked.rs`) — and the
+//! passes must flag each, proving the static oracle catches what the
+//! dynamic explorer did. Each bad fixture ships with a clean twin so the
+//! tests pin the *boundary* of the rule, not just its firing.
+//!
+//! Every run also feeds the `stubs/` files under the workspace paths the
+//! spec names (`utp_core::verifier::check_evidence`,
+//! `utp_server::store::Store::try_settle`, ...), so sources, sinks and
+//! order events resolve the way they do on the real workspace.
 //!
 //! `authz_golden_snapshot_and_determinism` locks the combined findings
 //! plus the authz coverage report byte-for-byte against
@@ -26,10 +32,22 @@ fn fixture(rel: &str) -> String {
     fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
-/// Runs the analyzer over fixtures mapped to fake workspace paths.
+/// The spec's primitives, under the paths the spec names them by.
+const STUBS: &[(&str, &str)] = &[
+    ("crates/core/src/verifier.rs", "stubs/verifier.rs"),
+    ("crates/journal/src/journal.rs", "stubs/journal.rs"),
+    ("crates/server/src/provider.rs", "stubs/provider.rs"),
+    ("crates/server/src/service.rs", "stubs/service.rs"),
+    ("crates/server/src/store.rs", "stubs/store.rs"),
+    ("shims/crossbeam/src/lib.rs", "stubs/crossbeam.rs"),
+];
+
+/// Runs the analyzer over fixtures (plus [`STUBS`]) mapped to fake
+/// workspace paths.
 fn analyze(map: &[(&str, &str)]) -> Analysis {
     analyze_files(
         map.iter()
+            .chain(STUBS)
             .map(|(fake, rel)| (fake.to_string(), fixture(rel)))
             .collect(),
     )
@@ -91,6 +109,41 @@ fn authz_flow_flags_unbound_settlement_and_accepts_bound_twin() {
                 "authorization-flow",
                 "constructing a settlement `Receipt` in `submit_unbound` is not dominated \
                  by its authorization source(s): [order-bound] missing",
+            ),
+        ],
+    );
+}
+
+/// Revert-fixture 3: the evidence check deleted from the settle wrapper.
+/// The wrapper still consumes the nonce, so the closure derives only
+/// `nonce-settled` for it; the dispatch `match` keeps only what both of
+/// its arms grant, so the store settle and the `Receipt` deny for the
+/// missing `verified`. The checked twin is clean.
+#[test]
+fn authz_flow_flags_settle_without_evidence_check_and_accepts_checked_twin() {
+    let analysis = analyze(&[
+        ("crates/server/src/settle_checked.rs", "settle_checked.rs"),
+        (
+            "crates/server/src/settle_unchecked.rs",
+            "settle_unchecked.rs",
+        ),
+    ]);
+    assert_diags(
+        &analysis,
+        &[
+            (
+                "crates/server/src/settle_unchecked.rs",
+                28,
+                "authorization-flow",
+                "settling an order (`Store::try_settle`) in `submit_unchecked` is not dominated \
+                 by its authorization source(s): [verified] missing",
+            ),
+            (
+                "crates/server/src/settle_unchecked.rs",
+                29,
+                "authorization-flow",
+                "constructing a settlement `Receipt` in `submit_unchecked` is not dominated \
+                 by its authorization source(s): [verified] missing",
             ),
         ],
     );
@@ -173,6 +226,11 @@ const ALL_FIXTURES: &[(&str, &str)] = &[
     (
         "crates/server/src/provider_unbound.rs",
         "provider_unbound.rs",
+    ),
+    ("crates/server/src/settle_checked.rs", "settle_checked.rs"),
+    (
+        "crates/server/src/settle_unchecked.rs",
+        "settle_unchecked.rs",
     ),
     ("crates/server/src/store_demote.rs", "store_demote.rs"),
 ];

@@ -7,6 +7,8 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use utp_obs::json::Json;
+
 fn workspace_root() -> PathBuf {
     utp_analyze::workspace::find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
         .expect("crates/analyze lives inside the utp workspace")
@@ -58,6 +60,7 @@ fn clean_workspace_exits_zero_and_writes_both_reports() {
         "\"blocks\"",
         "\"statements\"",
         "\"fallback_functions\"",
+        "\"unknown_call_sites\"",
         "\"findings_by_lint\"",
         "\"authorization-flow\"",
         "\"ct-discipline\"",
@@ -84,19 +87,27 @@ fn clean_workspace_exits_zero_and_writes_both_reports() {
         );
     }
 
-    // The authz coverage report: real grant/sink/order sites were seen
-    // (the passes are not vacuously clean) and every spec name anchors.
+    // The authz coverage report: every source and every order rule
+    // matched at least one real site (the passes are not vacuously
+    // clean) and every spec path anchors.
     let authz_json = std::fs::read_to_string(&authz).expect("authz report written");
-    for key in [
-        "\"authz_report\"",
-        "\"grant_sites\"",
-        "\"sink_sites\"",
-        "\"order_sites\"",
-        "\"wal-before-ack\"",
-        "\"missing_anchors\": []",
-    ] {
-        assert!(authz_json.contains(key), "missing {key} in:\n{authz_json}");
+    let doc = Json::parse(&authz_json).expect("authz report parses");
+    let report = doc.get("authz_report").expect("authz_report key");
+    for key in ["grant_sites", "order_sites"] {
+        let sites = report.get(key).and_then(Json::entries).expect(key);
+        assert!(!sites.is_empty(), "no {key} in:\n{authz_json}");
+        for (name, n) in sites {
+            assert!(
+                n.as_u64().is_some_and(|n| n > 0),
+                "{key} `{name}` matched no site:\n{authz_json}"
+            );
+        }
     }
+    assert!(report.get("sink_sites").is_some(), "{authz_json}");
+    assert!(
+        authz_json.contains("\"missing_anchors\": []"),
+        "{authz_json}"
+    );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         stderr.contains("authz-spec: ok"),

@@ -3,27 +3,27 @@
 //! before the call (via the `authorize` wrapper, which the granting
 //! closure turns into a source) — clean. `finish_unchecked`'s only
 //! caller establishes nothing — deny.
+use utp_core::verifier::Verifier;
 
 pub fn entry(
+    provider: &ServiceProvider,
     store: &mut Store,
     verifier: &Verifier,
     order_id: u64,
     evidence: &Evidence,
-    now: Duration,
 ) {
-    authorize(store, verifier, order_id, evidence, now);
+    authorize(provider, verifier, order_id, evidence);
     finish(store, order_id);
 }
 
 fn authorize(
-    store: &Store,
+    provider: &ServiceProvider,
     verifier: &Verifier,
     order_id: u64,
     evidence: &Evidence,
-    now: Duration,
 ) {
-    check_order_binding(store, order_id, evidence);
-    verifier.verify(evidence, now);
+    provider.check_order_binding(order_id, evidence);
+    verifier.verify(evidence, 0);
 }
 
 fn finish(store: &mut Store, order_id: u64) {

@@ -1,7 +1,7 @@
 //! WAL-before-ack fixtures: on `Settle` work items the decision must be
 //! journaled (or the no-journal mode guarded) before the ticket is
 //! resolved. Only `ack_first` violates the rule.
-
+use utp_journal::Journal;
 pub fn ack_first(journal: &Journal, reply: &Sender, item: WorkItem) {
     if let WorkItem::Settle { outcome, .. } = item {
         reply.send(outcome);

@@ -2,10 +2,10 @@
 //! (`CreateOrder` record) before the confirmation challenge is
 //! registered with the settlement core. Only `register_first` violates
 //! the rule.
-
+use {utp_core::verifier::Settler, utp_journal::Journal};
 pub fn register_first(
     journal: &Journal,
-    settlement: &Settlement,
+    settlement: &Settler,
     request: &Request,
     now: Duration,
 ) {
@@ -15,7 +15,7 @@ pub fn register_first(
 
 pub fn wal_then_register(
     journal: &Journal,
-    settlement: &Settlement,
+    settlement: &Settler,
     request: &Request,
     now: Duration,
 ) {

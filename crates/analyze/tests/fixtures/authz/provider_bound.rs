@@ -1,30 +1,21 @@
 //! Clean twin of `provider_unbound.rs`: the evidence-order binding
 //! pre-check runs unconditionally before dispatch, so `order-bound`
 //! dominates every path to the settlement sinks.
+use utp_core::verifier::Verifier;
 
 pub fn submit_bound(
+    provider: &ServiceProvider,
     store: &mut Store,
     verifier: &Verifier,
     order_id: u64,
     evidence: &Evidence,
     now: Duration,
 ) -> Result<Receipt, VerifyError> {
-    check_order_binding(store, order_id, evidence)?;
+    provider.check_order_binding(order_id, evidence)?;
     let verified = verifier.verify(evidence, now)?;
     store.try_settle(order_id);
     Ok(Receipt {
         order_id,
         attempts: verified.attempts,
     })
-}
-
-fn check_order_binding(
-    store: &Store,
-    order_id: u64,
-    evidence: &Evidence,
-) -> Result<(), VerifyError> {
-    if evidence.tx_digest() != store.digest_of(order_id) {
-        return Err(VerifyError::TokenMismatch);
-    }
-    Ok(())
 }

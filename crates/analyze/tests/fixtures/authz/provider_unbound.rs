@@ -4,7 +4,7 @@
 //! order A delivered against order B would debit B on A's approval.
 //! The authorization-flow pass must deny both settlement sinks for the
 //! missing `order-bound` capability.
-
+use utp_core::verifier::Verifier;
 pub fn submit_unbound(
     store: &mut Store,
     verifier: &Verifier,

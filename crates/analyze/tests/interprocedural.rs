@@ -155,6 +155,22 @@ fn no_panic_transitive_follows_the_call_chain_out_of_the_tcb() {
     );
 }
 
+/// One panic-site list for both lints: `unreachable!` in a TCB file is
+/// a `no-panic-in-tcb` deny, like `panic!`.
+#[test]
+fn no_panic_flags_unreachable_in_tcb_files() {
+    let analysis = analyze(&[("crates/tpm/src/pcr.rs", "panic/unreachable.rs")]);
+    assert_diags(
+        &analysis,
+        &[(
+            "crates/tpm/src/pcr.rs",
+            9,
+            "no-panic-in-tcb",
+            "`unreachable!` aborts the trusted session mid-transaction",
+        )],
+    );
+}
+
 #[test]
 fn secret_taint_flags_debug_derive_and_print_sink() {
     let analysis = analyze(&[("crates/tpm/src/leaky.rs", "taint/leaky.rs")]);
@@ -195,7 +211,10 @@ fn secret_taint_flags_trace_sink_but_skips_key_name_paths() {
 
 #[test]
 fn secret_taint_flags_journal_sink_outside_key_crates() {
-    let analysis = analyze(&[("crates/server/src/journal_leak.rs", "taint/journal_leak.rs")]);
+    let analysis = analyze(&[
+        ("crates/server/src/journal_leak.rs", "taint/journal_leak.rs"),
+        ("crates/journal/src/journal.rs", "authz/stubs/journal.rs"),
+    ]);
     // Two findings on the append: `session_key` in the value position
     // (the `JournalRecord::` path segment does not trip the scan, and
     // the rule fires even though `crates/server` is outside the key
@@ -377,6 +396,41 @@ fn lock_discipline_flow_kills_paths_and_stale_reads() {
     );
 }
 
+/// Lock identity is the resolved `(type, field)`: two structs' `inner`
+/// mutexes nest cleanly, and taking them in both orders is still a
+/// cycle, named by type.
+#[test]
+fn lock_discipline_keys_locks_by_type_and_field() {
+    let clean = analyze(&[("crates/server/src/two_inner.rs", "locks/two_inner.rs")]);
+    assert_diags(&clean, &[]);
+    let cycle = analyze(&[
+        ("crates/server/src/two_inner.rs", "locks/two_inner.rs"),
+        (
+            "crates/server/src/two_inner_cycle.rs",
+            "locks/two_inner_cycle.rs",
+        ),
+    ]);
+    assert_diags(
+        &cycle,
+        &[
+            (
+                "crates/server/src/two_inner.rs",
+                16,
+                "lock-discipline",
+                "lock-order cycle: `Accounts.inner` -> `Ledger.inner` (acquired `Ledger.inner` \
+                 in `transfer` while holding `Accounts.inner`)",
+            ),
+            (
+                "crates/server/src/two_inner_cycle.rs",
+                6,
+                "lock-discipline",
+                "lock-order cycle: `Ledger.inner` -> `Accounts.inner` (acquired \
+                 `Accounts.inner` in `refund` while holding `Ledger.inner`)",
+            ),
+        ],
+    );
+}
+
 /// All fixture sets combined into one workspace: locks the entire JSON
 /// document (findings + TCB report) byte-for-byte, which also pins the
 /// deterministic (file, line, lint) sort order.
@@ -394,6 +448,7 @@ fn golden_json_snapshot() {
         ("crates/tpm/src/leaky.rs", "taint/leaky.rs"),
         ("crates/tpm/src/trace_leak.rs", "taint/trace_leak.rs"),
         ("crates/server/src/journal_leak.rs", "taint/journal_leak.rs"),
+        ("crates/journal/src/journal.rs", "authz/stubs/journal.rs"),
         ("crates/server/src/obs_leak.rs", "taint/obs_leak.rs"),
         ("crates/server/src/svc.rs", "locks/svc.rs"),
     ]);

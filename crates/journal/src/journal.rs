@@ -112,18 +112,14 @@ impl Inner {
 /// Crash-safe write-ahead journal for the settlement path.
 #[derive(Debug)]
 pub struct Journal {
-    // Not named `inner`: lock-discipline keys its order graph by field
-    // name workspace-wide, and `inner` is the parking_lot shim's own
-    // mutex field, which would merge this lock with every `.lock()` in
-    // the workspace.
-    mu: Mutex<Inner>,
+    inner: Mutex<Inner>,
 }
 
 impl Journal {
     /// Creates an empty journal.
     pub fn new(config: JournalConfig) -> Self {
         Journal {
-            mu: Mutex::new(Inner {
+            inner: Mutex::new(Inner {
                 log: StorageDevice::with_faults(config.profile.clone(), config.log_faults),
                 snap: StorageDevice::new(config.profile),
                 group_commit: config.group_commit.max(1),
@@ -146,7 +142,7 @@ impl Journal {
     pub fn with_durable(config: JournalConfig, snapshot_bytes: &[u8], log_bytes: &[u8]) -> Self {
         let j = Journal::new(config);
         {
-            let mut inner = j.mu.lock();
+            let mut inner = j.inner.lock();
             inner.snap.seed_media(snapshot_bytes);
             inner.log.seed_media(log_bytes);
             let (state, _report) = replay_bytes(snapshot_bytes, log_bytes);
@@ -163,7 +159,7 @@ impl Journal {
     /// different action interleavings against the same durable history.
     pub fn fork(&self) -> Journal {
         Journal {
-            mu: Mutex::new(self.mu.lock().clone()),
+            inner: Mutex::new(self.inner.lock().clone()),
         }
     }
 
@@ -172,7 +168,7 @@ impl Journal {
     /// (and `journal.flush`) event after releasing the lock.
     pub fn append_record(&self, record: &JournalRecord) -> AppendReceipt {
         let (receipt, at, flush_cost) = {
-            let mut inner = self.mu.lock();
+            let mut inner = self.inner.lock();
             let seq = inner.next_seq;
             inner.next_seq += 1;
             let frame = encode_frame(seq, record);
@@ -218,7 +214,7 @@ impl Journal {
     /// (zero if nothing was staged).
     pub fn sync(&self) -> Duration {
         let (cost, now, did) = {
-            let mut inner = self.mu.lock();
+            let mut inner = self.inner.lock();
             if inner.staged == 0 {
                 inner.stats.sync_elided += 1;
                 (Duration::ZERO, inner.device_time, false)
@@ -238,7 +234,7 @@ impl Journal {
     /// by *this* caller (zero when elided — the group-commit win).
     pub fn sync_to(&self, seq: u64) -> Duration {
         let (cost, now, did) = {
-            let mut inner = self.mu.lock();
+            let mut inner = self.inner.lock();
             if inner.durable_seq >= seq {
                 inner.stats.sync_elided += 1;
                 (Duration::ZERO, inner.device_time, false)
@@ -264,7 +260,7 @@ impl Journal {
     /// either the old (snapshot, log) pair or the new one, never a gap.
     /// Returns the total device cost.
     pub fn install_snapshot(&self, state: &RecoveredState) -> Duration {
-        let mut inner = self.mu.lock();
+        let mut inner = self.inner.lock();
         let mut cost = Duration::ZERO;
         if inner.staged > 0 {
             cost += inner.flush_log();
@@ -287,7 +283,7 @@ impl Journal {
     /// Simulated power loss on both devices: unflushed caches are lost
     /// (modulo the fault plan's torn tail on the log).
     pub fn crash(&self) {
-        let mut inner = self.mu.lock();
+        let mut inner = self.inner.lock();
         inner.log.crash();
         inner.snap.crash();
         inner.staged = 0;
@@ -301,7 +297,7 @@ impl Journal {
     /// counters. Returns the recovered state, the report, and the
     /// virtual read cost of the recovery pass.
     pub fn replay(&self) -> (RecoveredState, RecoveryReport, Duration) {
-        let mut inner = self.mu.lock();
+        let mut inner = self.inner.lock();
         let snap_bytes = inner.snap.durable().to_vec();
         let log_bytes = inner.log.durable().to_vec();
         let read_cost =
@@ -320,49 +316,49 @@ impl Journal {
     /// audit log's durable paging, which wants history including
     /// records staged but not yet flushed.
     pub fn replay_live(&self) -> RecoveredState {
-        let inner = self.mu.lock();
+        let inner = self.inner.lock();
         let (state, _) = replay_bytes(inner.snap.durable(), &inner.log.appended());
         state
     }
 
     /// Decoded frames currently on the durable log media.
     pub fn durable_frames(&self) -> Vec<Frame> {
-        scan(self.mu.lock().log.durable()).frames
+        scan(self.inner.lock().log.durable()).frames
     }
 
     /// Raw durable log bytes (for crash-point sweeps).
     pub fn durable_log_bytes(&self) -> Vec<u8> {
-        self.mu.lock().log.durable().to_vec()
+        self.inner.lock().log.durable().to_vec()
     }
 
     /// Raw durable snapshot bytes.
     pub fn durable_snapshot_bytes(&self) -> Vec<u8> {
-        self.mu.lock().snap.durable().to_vec()
+        self.inner.lock().snap.durable().to_vec()
     }
 
     /// Frame boundaries of the durable log (crash-point sweep support).
     pub fn durable_boundaries(&self) -> Vec<usize> {
-        frame_boundaries(self.mu.lock().log.durable())
+        frame_boundaries(self.inner.lock().log.durable())
     }
 
     /// Total serialized device time consumed so far.
     pub fn device_time(&self) -> Duration {
-        self.mu.lock().device_time
+        self.inner.lock().device_time
     }
 
     /// Aggregate statistics.
     pub fn stats(&self) -> JournalStats {
-        self.mu.lock().stats
+        self.inner.lock().stats
     }
 
     /// Log-device operation counters.
     pub fn log_counters(&self) -> DeviceCounters {
-        self.mu.lock().log.counters()
+        self.inner.lock().log.counters()
     }
 
     /// Highest sequence number currently durable.
     pub fn durable_seq(&self) -> u64 {
-        self.mu.lock().durable_seq
+        self.inner.lock().durable_seq
     }
 }
 

@@ -112,11 +112,9 @@ impl TpmOp {
 /// assert!(quote > 20 * extend); // quotes dominate, the paper's key fact
 /// ```
 pub fn cost(vendor: VendorProfile, op: TpmOp, payload_len: usize) -> Duration {
-    if vendor == VendorProfile::Instant {
-        return Duration::ZERO;
-    }
     let (base_us, per_byte_ns): (u64, u64) = match (vendor, op) {
         // (base microseconds, per payload byte nanoseconds)
+        (VendorProfile::Instant, _) => (0, 0),
         (VendorProfile::Broadcom, TpmOp::Extend) => (27_000, 150),
         (VendorProfile::Broadcom, TpmOp::PcrRead) => (1_800, 50),
         (VendorProfile::Broadcom, TpmOp::Quote) => (972_000, 200),
@@ -156,8 +154,6 @@ pub fn cost(vendor: VendorProfile, op: TpmOp, payload_len: usize) -> Duration {
         (VendorProfile::StMicro, TpmOp::CounterIncrement) => (33_000, 0),
         (VendorProfile::StMicro, TpmOp::NvAccess) => (19_000, 650),
         (VendorProfile::StMicro, TpmOp::DrtmHash) => (12_000, 250),
-
-        (VendorProfile::Instant, _) => unreachable!("handled above"),
     };
     Duration::from_micros(base_us) + Duration::from_nanos(per_byte_ns * payload_len as u64)
 }
