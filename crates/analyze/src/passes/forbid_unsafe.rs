@@ -7,7 +7,6 @@
 //! `#[allow]` can re-enable it.
 
 use super::{Finding, Pass};
-use crate::diag::Severity;
 use crate::source::SourceFile;
 
 /// The `forbid-unsafe-everywhere` pass.
@@ -45,13 +44,12 @@ impl Pass for ForbidUnsafeEverywhere {
         if found {
             Vec::new()
         } else {
-            vec![Finding {
-                line: 1,
-                severity: Severity::Deny,
-                message: "crate root is missing `#![forbid(unsafe_code)]`; the workspace's \
+            vec![Finding::deny(
+                1,
+                "crate root is missing `#![forbid(unsafe_code)]`; the workspace's \
                           auditable-TCB claim requires it in every crate"
                     .to_string(),
-            }]
+            )]
         }
     }
 }

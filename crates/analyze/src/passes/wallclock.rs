@@ -10,7 +10,6 @@
 //! clock.
 
 use super::{Finding, Pass};
-use crate::diag::Severity;
 use crate::source::SourceFile;
 
 /// Files allowed to read the host clock.
@@ -48,16 +47,15 @@ impl Pass for WallclockInModel {
                 None
             };
             if let Some(what) = hit {
-                findings.push(Finding {
-                    line: t.line,
-                    severity: Severity::Deny,
-                    message: format!(
+                findings.push(Finding::deny(
+                    t.line,
+                    format!(
                         "`{what}` reads the host wall clock inside the simulation model; \
                          route time through the simulated clock \
                          (`crates/platform/src/clock.rs`) so runs stay deterministic \
                          (bench/metrics code is exempt)"
                     ),
-                });
+                ));
             }
         }
         findings
