@@ -161,7 +161,7 @@ fn find_test_ranges(tokens: &[Token]) -> Vec<(u32, u32)> {
         // Match `#` `[` cfg-attribute containing `test` `]`.
         if tokens[i].is_punct("#") && i + 1 < tokens.len() && tokens[i + 1].is_punct("[") {
             let attr_start = i + 2;
-            let Some(attr_end) = matching_bracket(tokens, i + 1, "[", "]") else {
+            let Some(attr_end) = crate::items::matching(tokens, i + 1, "[", "]") else {
                 break;
             };
             let attr = &tokens[attr_start..attr_end];
@@ -172,7 +172,7 @@ fn find_test_ranges(tokens: &[Token]) -> Vec<(u32, u32)> {
                 let mut j = attr_end + 1;
                 while j + 1 < tokens.len() && tokens[j].is_punct("#") && tokens[j + 1].is_punct("[")
                 {
-                    match matching_bracket(tokens, j + 1, "[", "]") {
+                    match crate::items::matching(tokens, j + 1, "[", "]") {
                         Some(end) => j = end + 1,
                         None => break,
                     }
@@ -182,7 +182,7 @@ fn find_test_ranges(tokens: &[Token]) -> Vec<(u32, u32)> {
                     && tokens[j + 1].kind == TokenKind::Ident
                     && tokens[j + 2].is_punct("{")
                 {
-                    if let Some(close) = matching_bracket(tokens, j + 2, "{", "}") {
+                    if let Some(close) = crate::items::matching(tokens, j + 2, "{", "}") {
                         ranges.push((tokens[i].line, tokens[close].line));
                         i = close;
                     }
@@ -194,24 +194,6 @@ fn find_test_ranges(tokens: &[Token]) -> Vec<(u32, u32)> {
         i += 1;
     }
     ranges
-}
-
-/// Index of the bracket matching the one at `open_idx`.
-fn matching_bracket(tokens: &[Token], open_idx: usize, open: &str, close: &str) -> Option<usize> {
-    let mut depth = 0usize;
-    for (i, t) in tokens.iter().enumerate().skip(open_idx) {
-        if t.is_punct(open) {
-            depth += 1;
-        } else if t.is_punct(close) {
-            match depth {
-                // Stray closer before any opener: malformed input.
-                0 => return None,
-                1 => return Some(i),
-                _ => depth -= 1,
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]
