@@ -36,6 +36,15 @@ fn same_seed_two_runs_byte_identical_report() {
     assert_eq!(a, b, "two runs with one seed must agree to the byte");
 }
 
+/// The event order itself, not just run-to-run agreement: the seed-42
+/// storm's digest is checked in, so any change to how the event queue
+/// orders `(at, seq)` ties, or to which events fire, shows up here.
+#[test]
+fn seed_42_digest_matches_the_pinned_fixture() {
+    let pinned = include_str!("fixtures/stormy_42.digest");
+    assert_eq!(stormy_scenario(42, 250).run().digest(), pinned);
+}
+
 #[test]
 fn different_seed_different_jitter_same_invariants() {
     let a = stormy_scenario(42, 250).run();
@@ -68,7 +77,7 @@ fn different_seed_different_jitter_same_invariants() {
 /// 100k clients through the full storm — slow in debug builds, run
 /// with `cargo test --release -p utp-netsim -- --ignored`.
 #[test]
-#[ignore = "release-scale run; exercised by fleet_smoke/nightly CI"]
+#[ignore = "release-scale run; scripts/check.sh runs it with --release -- --ignored"]
 fn hundred_k_clients_drain_deterministically() {
     let report = stormy_scenario(7, 12_500).run(); // 8 hubs × 12.5k
     assert_eq!(report.fleet, 100_000);
