@@ -1,17 +1,16 @@
 //! The message bus: typed frames routed over a [`Topology`] with
 //! per-hop delay, loss, reordering, and scripted partitions.
 //!
-//! Delivery is simulated end to end in one step: `send` walks the
+//! Delivery is simulated end to end in one step: `transit` walks the
 //! route, accumulates per-hop delay, rolls loss/partition fate per
-//! hop, and either schedules one delivery event on the caller's
-//! [`EventQueue`] or drops the frame. Per-hop delay is
-//! [`LinkConfig::delay`](crate::LinkConfig::delay), the flat
-//! [`Link`](crate::Link) model's formula. Accounting is split: a hop
+//! hop, and returns either the frame's one-way delay, at which the
+//! caller schedules its delivery, or `None` for a dropped frame.
+//! Per-hop delay is [`LinkConfig::delay`](crate::LinkConfig::delay),
+//! the flat [`Link`](crate::Link) model's formula. Accounting is split: a hop
 //! only counts toward `messages_carried`/`bytes_carried` once the frame
 //! is known to survive that hop; otherwise it lands in
 //! `messages_dropped`/`bytes_dropped` for the hop that killed it.
 
-use crate::event::EventQueue;
 use crate::topology::{NodeId, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -73,8 +72,7 @@ pub struct ClassStats {
     pub bytes_dropped: u64,
 }
 
-/// Routes frames over a topology, scheduling deliveries on an
-/// [`EventQueue`].
+/// Routes frames over a topology, rolling each frame's delay and fate.
 pub struct MessageBus {
     topology: Topology,
     rng: StdRng,
@@ -103,24 +101,10 @@ impl MessageBus {
         &self.stats
     }
 
-    /// Sends `frame` at virtual time `now`. On survival the delivery
-    /// is scheduled on `queue` and the total one-way delay returned;
-    /// a frame killed by loss or a partition window returns `None`.
-    pub fn send(
-        &mut self,
-        queue: &mut EventQueue<Frame>,
-        frame: Frame,
-        now: Duration,
-    ) -> Option<Duration> {
-        let delay = self.transit(&frame, now)?;
-        queue.schedule(now + delay, frame);
-        Some(delay)
-    }
-
-    /// Rolls a frame's fate hop by hop and returns its one-way delay,
-    /// or `None` if loss or a partition kills it. Accounting happens
-    /// here; callers that manage their own event types schedule the
-    /// delivery themselves at `now + delay`.
+    /// Rolls the fate of `frame`, sent at virtual time `now`, hop by
+    /// hop and returns its one-way delay, or `None` if loss or a
+    /// partition window kills it. Accounting happens here; the caller
+    /// schedules the delivery at `now + delay`.
     pub fn transit(&mut self, frame: &Frame, now: Duration) -> Option<Duration> {
         let route = self.topology.route(frame.src, frame.dst);
         let mut elapsed = Duration::ZERO;
@@ -180,13 +164,9 @@ mod tests {
     fn clean_star_delivers_with_floor_delay() {
         let t = Topology::star(2, LinkProfile::clean(LinkConfig::fixed_rtt(ms(40))));
         let mut bus = MessageBus::new(t, 7);
-        let mut q = EventQueue::new();
-        let d = bus.send(&mut q, frame(1, 0, 1_000), Duration::ZERO);
+        let d = bus.transit(&frame(1, 0, 1_000), Duration::ZERO);
         let d = d.expect("clean link never drops");
         assert!(d >= ms(20), "at least half the RTT: {d:?}");
-        let (at, f) = q.pop().expect("delivery scheduled");
-        assert_eq!(at, d);
-        assert_eq!(f.dst, NodeId(0));
         assert_eq!(bus.class_stats()[0].messages_carried, 1);
         assert_eq!(bus.class_stats()[0].bytes_carried, 1_000);
         assert_eq!(bus.class_stats()[0].messages_dropped, 0);
@@ -198,13 +178,12 @@ mod tests {
             LinkProfile::clean(LinkConfig::fixed_rtt(ms(10))).with_partition(ms(100), ms(200));
         let t = Topology::star(1, profile);
         let mut bus = MessageBus::new(t, 7);
-        let mut q = EventQueue::new();
-        assert!(bus.send(&mut q, frame(1, 0, 64), ms(150)).is_none());
+        assert!(bus.transit(&frame(1, 0, 64), ms(150)).is_none());
         assert_eq!(bus.class_stats()[0].messages_dropped, 1);
         assert_eq!(bus.class_stats()[0].bytes_dropped, 64);
         assert_eq!(bus.class_stats()[0].messages_carried, 0);
         // After heal, traffic flows again.
-        assert!(bus.send(&mut q, frame(1, 0, 64), ms(250)).is_some());
+        assert!(bus.transit(&frame(1, 0, 64), ms(250)).is_some());
         assert_eq!(bus.class_stats()[0].messages_carried, 1);
     }
 
@@ -213,12 +192,11 @@ mod tests {
         let profile = LinkProfile::clean(LinkConfig::fixed_rtt(ms(10))).with_loss_ppm(1_000_000);
         let t = Topology::star(1, profile);
         let mut bus = MessageBus::new(t, 3);
-        let mut q = EventQueue::new();
         for _ in 0..10 {
-            assert!(bus.send(&mut q, frame(1, 0, 10), Duration::ZERO).is_none());
+            assert!(bus.transit(&frame(1, 0, 10), Duration::ZERO).is_none());
         }
         assert_eq!(bus.class_stats()[0].messages_dropped, 10);
-        assert!(q.is_empty());
+        assert_eq!(bus.class_stats()[0].messages_carried, 0);
     }
 
     #[test]
@@ -227,9 +205,8 @@ mod tests {
         let leaf = LinkProfile::clean(LinkConfig::fixed_rtt(ms(30)));
         let t = Topology::two_tier(1, 1, core, leaf);
         let mut bus = MessageBus::new(t, 5);
-        let mut q = EventQueue::new();
         let d = bus
-            .send(&mut q, frame(2, 0, 100), Duration::ZERO)
+            .transit(&frame(2, 0, 100), Duration::ZERO)
             .expect("clean path");
         assert!(d >= ms(17), "leaf half-RTT 15ms + core half-RTT 2ms: {d:?}");
         assert_eq!(bus.class_stats()[0].messages_carried, 1, "core hop");
@@ -242,11 +219,10 @@ mod tests {
         let run = |seed: u64| {
             let t = Topology::star(4, profile.clone());
             let mut bus = MessageBus::new(t, seed);
-            let mut q = EventQueue::new();
             let mut deliveries = Vec::new();
             for i in 0..40 {
                 let f = frame(1 + (i % 4), 0, 200);
-                deliveries.push(bus.send(&mut q, f, ms(u64::from(i))));
+                deliveries.push(bus.transit(&f, ms(u64::from(i))));
             }
             (deliveries, bus.class_stats().to_vec())
         };
