@@ -75,7 +75,9 @@ fn different_seed_different_jitter_same_invariants() {
 }
 
 /// 100k clients through the full storm — slow in debug builds, run
-/// with `cargo test --release -p utp-netsim -- --ignored`.
+/// with `cargo test --release -p utp-netsim -- --ignored`. Unlike the
+/// seed-42 storm, this one sheds (270,513 retry-afters), so its pinned
+/// digest also covers the shed path's transits and resends.
 #[test]
 #[ignore = "release-scale run; scripts/check.sh runs it with --release -- --ignored"]
 fn hundred_k_clients_drain_deterministically() {
@@ -87,4 +89,6 @@ fn hundred_k_clients_drain_deterministically() {
     );
     let again = stormy_scenario(7, 12_500).run();
     assert_eq!(report.digest(), again.digest());
+    let pinned = include_str!("fixtures/stormy_7_100k.digest");
+    assert_eq!(report.digest(), pinned);
 }
