@@ -45,7 +45,7 @@ pub use scenario::{
     FleetReport, FullStackHook, FullStackTally, HookOutcome, NullHook, ProviderConfig, Scenario,
     WireSizes,
 };
-pub use topology::{LinkProfile, NodeId, NodeRole, PartitionWindow, Topology};
+pub use topology::{LinkProfile, NodeId, NodeRole, PartitionWindow, Route, Topology};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -107,13 +107,27 @@ impl LinkConfig {
     }
 
     /// One-way delay of a `bytes`-long message: propagation (half the
-    /// RTT) + jitter scaled by `draw` in `[0, 1)` + serialization. The
+    /// RTT) + serialization + jitter scaled by `draw` in `[0, 1)`. The
     /// caller owns the RNG, and with it the draw order.
     pub fn delay(&self, bytes: u64, draw: f64) -> Duration {
+        self.jittered(self.fixed_delay(bytes), draw)
+    }
+
+    /// The part of [`delay`](LinkConfig::delay) that no draw moves:
+    /// propagation (half the RTT) + serialization of `bytes`. A caller
+    /// that sends few distinct sizes can compute it once per size.
+    pub fn fixed_delay(&self, bytes: u64) -> Duration {
         let propagation = self.base_rtt / 2;
-        let jitter = self.jitter.mul_f64(draw);
         let serialization = Duration::from_secs_f64(bytes as f64 / self.bandwidth as f64);
-        propagation + jitter + serialization
+        propagation + serialization
+    }
+
+    /// A [`fixed_delay`](LinkConfig::fixed_delay) term plus jitter
+    /// scaled by `draw` in `[0, 1)`. `Duration` adds whole
+    /// nanoseconds, so the sum does not depend on when `fixed` was
+    /// computed.
+    pub fn jittered(&self, fixed: Duration, draw: f64) -> Duration {
+        fixed + self.jitter.mul_f64(draw)
     }
 }
 
@@ -234,6 +248,25 @@ mod tests {
         assert!(rt >= Duration::from_millis(40));
         assert_eq!(link.messages_carried(), 2);
         assert_eq!(link.bytes_carried(), 200);
+    }
+
+    #[test]
+    fn split_delay_equals_the_one_piece_formula() {
+        let configs = [
+            LinkConfig::broadband(),
+            LinkConfig::intercontinental(),
+            LinkConfig::fixed_rtt_bw(Duration::from_millis(4), 50_000_000),
+        ];
+        for cfg in &configs {
+            for bytes in [0, 64, 1_500, 2_048, 1_000_000] {
+                for draw in [0.0, 0.123_456_789, 0.5, 0.999_999] {
+                    let one_piece = cfg.base_rtt / 2
+                        + cfg.jitter.mul_f64(draw)
+                        + Duration::from_secs_f64(bytes as f64 / cfg.bandwidth as f64);
+                    assert_eq!(cfg.delay(bytes, draw), one_piece, "{cfg:?} {bytes} B");
+                }
+            }
+        }
     }
 
     #[test]

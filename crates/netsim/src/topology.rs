@@ -232,33 +232,64 @@ impl Topology {
     }
 
     /// The hop sequence from `from` to `to`, as the class index of
-    /// every link traversed (each hop is some node's uplink). Walks
-    /// both uplink chains to the root and drops the shared suffix.
-    pub fn route(&self, from: NodeId, to: NodeId) -> Vec<u16> {
-        let chain = |mut n: NodeId| {
-            let mut hops = Vec::new();
-            while n != self.provider() {
-                hops.push(n);
-                n = self.parent(n);
-            }
-            hops
-        };
-        let mut up = chain(from);
-        let mut down = chain(to);
+    /// every link traversed (each hop is some node's uplink): up from
+    /// `from` to the lowest common ancestor, then down to `to`. Walks
+    /// both uplink chains (at most two links each) into fixed arrays
+    /// and drops their shared tail, so a route costs no heap
+    /// allocation.
+    pub fn route(&self, from: NodeId, to: NodeId) -> Route {
+        let (up, mut up_len) = self.chain(from);
+        let (down, mut down_len) = self.chain(to);
         // Trim the common tail (hops above the lowest common ancestor).
-        while let (Some(a), Some(b)) = (up.last(), down.last()) {
-            if a == b {
-                up.pop();
-                down.pop();
-            } else {
-                break;
-            }
+        while up_len > 0 && down_len > 0 && up[up_len - 1] == down[down_len - 1] {
+            up_len -= 1;
+            down_len -= 1;
         }
-        down.reverse();
-        up.into_iter()
-            .chain(down)
-            .map(|n| self.uplink_class(n))
-            .collect()
+        let mut route = Route {
+            hops: [0; MAX_DEPTH * 2],
+            len: 0,
+        };
+        let downward = down[..down_len].iter().rev();
+        for &n in up[..up_len].iter().chain(downward) {
+            route.hops[route.len as usize] = self.class_of[n as usize];
+            route.len += 1;
+        }
+        route
+    }
+
+    /// The nodes on `node`'s uplink chain, `node` first, the provider
+    /// excluded. Panics on a tree deeper than `MAX_DEPTH`, which no
+    /// constructor builds.
+    fn chain(&self, mut node: NodeId) -> ([u32; MAX_DEPTH], usize) {
+        let mut nodes = [0; MAX_DEPTH];
+        let mut len = 0;
+        while node != self.provider() {
+            nodes[len] = node.0;
+            len += 1;
+            node = self.parent(node);
+        }
+        (nodes, len)
+    }
+}
+
+/// The deepest any node sits below the provider: every constructor
+/// puts clients at depth ≤ 2 (client → hub → provider).
+const MAX_DEPTH: usize = 2;
+
+/// A route from [`Topology::route`]: the link class of every hop, at
+/// most four (up two links, down two), stored inline so the value is
+/// `Copy`. Dereferences to the hop slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Route {
+    hops: [u16; MAX_DEPTH * 2],
+    len: u8,
+}
+
+impl std::ops::Deref for Route {
+    type Target = [u16];
+
+    fn deref(&self) -> &[u16] {
+        &self.hops[..self.len as usize]
     }
 }
 
@@ -277,8 +308,8 @@ mod tests {
         assert_eq!(t.clients().count(), 3);
         let c = NodeId(2);
         assert_eq!(t.role(c), NodeRole::Client);
-        assert_eq!(t.route(c, t.provider()), vec![0]);
-        assert_eq!(t.route(t.provider(), c), vec![0]);
+        assert_eq!(*t.route(c, t.provider()), [0]);
+        assert_eq!(*t.route(t.provider(), c), [0]);
     }
 
     #[test]
@@ -289,17 +320,66 @@ mod tests {
         assert_eq!(t.role(client), NodeRole::Client);
         assert_eq!(t.role(t.parent(client)), NodeRole::Hub);
         // leaf class (1) then core class (0) on the way up.
-        assert_eq!(t.route(client, t.provider()), vec![1, 0]);
-        assert_eq!(t.route(t.provider(), client), vec![0, 1]);
+        assert_eq!(*t.route(client, t.provider()), [1, 0]);
+        assert_eq!(*t.route(t.provider(), client), [0, 1]);
     }
 
     #[test]
     fn two_tier_peer_route_avoids_root_when_shared_hub() {
         let t = Topology::two_tier(2, 2, LinkProfile::clean(LinkConfig::continental()), leaf());
         let (a, b) = (NodeId(2), NodeId(3)); // same hub
-        assert_eq!(t.route(a, b), vec![1, 1]);
+        assert_eq!(*t.route(a, b), [1, 1]);
         let c = NodeId(5); // other hub
-        assert_eq!(t.route(a, c), vec![1, 0, 0, 1]);
+        assert_eq!(*t.route(a, c), [1, 0, 0, 1]);
+    }
+
+    /// The route by the definition: walk both parent chains to the
+    /// root, drop their shared tail, read the class of every uplink.
+    fn reference_route(t: &Topology, from: NodeId, to: NodeId) -> Vec<u16> {
+        let chain = |mut n: NodeId| {
+            let mut nodes = Vec::new();
+            while n != t.provider() {
+                nodes.push(n);
+                n = t.parent(n);
+            }
+            nodes
+        };
+        let (mut up, mut down) = (chain(from), chain(to));
+        while !up.is_empty() && up.last() == down.last() {
+            up.pop();
+            down.pop();
+        }
+        down.reverse();
+        up.into_iter()
+            .chain(down)
+            .map(|n| t.uplink_class(n))
+            .collect()
+    }
+
+    #[test]
+    fn route_matches_the_reference_walk_for_every_node_pair() {
+        let core = LinkProfile::clean(LinkConfig::continental());
+        let classes = [
+            ("dsl", leaf()),
+            ("lte", LinkProfile::clean(LinkConfig::intercontinental())),
+        ];
+        let topologies = [
+            Topology::star(3, leaf()),
+            Topology::two_tier(2, 3, core.clone(), leaf()),
+            Topology::generated(5, 3, 12, core, &classes),
+        ];
+        for t in &topologies {
+            for from in 0..t.node_count() {
+                for to in 0..t.node_count() {
+                    let (from, to) = (NodeId(from), NodeId(to));
+                    assert_eq!(
+                        *t.route(from, to),
+                        *reference_route(t, from, to),
+                        "{from:?} -> {to:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
