@@ -422,7 +422,6 @@ impl<'a> Sim<'a> {
 
     fn on_evidence(&mut self, client: u32, replay: bool, now: Duration) {
         let depth = self.queue.len();
-        self.report.queue_depth_watermark = self.report.queue_depth_watermark.max(depth as u64 + 1);
         if let Some(admission) = &self.sc.provider.admission {
             if let Admission::Shed { retry_after } = admission.decide(depth) {
                 self.report.shed_admission += 1;
@@ -445,6 +444,12 @@ impl<'a> Sim<'a> {
             return;
         }
         self.queue.push_back((client, replay));
+        // Only an admitted push fills a slot: a shed or dropped
+        // submission never sits in the queue.
+        self.report.queue_depth_watermark = self
+            .report
+            .queue_depth_watermark
+            .max(self.queue.len() as u64);
         self.start_workers();
     }
 
@@ -803,6 +808,9 @@ mod tests {
         assert!(report.dropped_queue_full > 0, "legacy mode sheds silently");
         assert_eq!(report.shed_admission, 0);
         assert!(report.gave_up > 0, "silent drops burn retry budgets");
+        // A drop needs a full queue; the dropped submission itself
+        // never takes a slot.
+        assert_eq!(report.queue_depth_watermark, 4);
     }
 
     #[test]
@@ -822,11 +830,9 @@ mod tests {
             report.dropped_queue_full, 0,
             "no silent drops with admission"
         );
-        assert!(
-            report.queue_depth_watermark <= 5,
-            "queue stays bounded: {}",
-            report.queue_depth_watermark
-        );
+        // A shed needs a full queue; the shed submission itself never
+        // takes a slot.
+        assert_eq!(report.queue_depth_watermark, 4, "queue stays bounded");
     }
 
     #[test]
