@@ -23,9 +23,9 @@
 //!   the capabilities it holds on every exit that returns normally
 //!   (`?` and `return Err(..)` exits do not count against it), to a
 //!   bounded fixpoint. So the spec declares only the primitives, and
-//!   `check_evidence`, `Settler::settle_evidence` and
-//!   `Settlement::verify_settling` grant because they run them. A call grants only when it is *placed*:
-//!   an unknown call grants nothing. Guard-only capabilities
+//!   `check_evidence`, `Settler::settle_evidence` and `Batch::settle`
+//!   grant because they run them. A call grants only when it is
+//!   *placed*: an unknown call grants nothing. Guard-only capabilities
 //!   (`confirmed-checked`) stay in the fn that branched;
 //! * **caller-context** — a sink missing capabilities locally is
 //!   accepted when *every* live in-scope caller establishes the missing
@@ -36,7 +36,7 @@
 //! A sink call is matched on every fn it may reach, so an unknown call
 //! that could be a sink is checked as one. One grant is declared, not
 //! derived: `VerifierService::submit_evidence_for_order` grants what
-//! the worker's `verify_settling` proves, because that proof crosses
+//! the worker's `Batch::settle` proves, because that proof crosses
 //! the worker channel, which no call edge follows.
 //!
 //! Soundness caveats (see DESIGN.md): grants are polarity-insensitive

@@ -2,8 +2,8 @@
 //! settlement protocol.
 //!
 //! PR 5 established two ordering disciplines by convention: the
-//! settlement decision is journaled before the ticket is resolved
-//! (WAL-before-ack), and the order/nonce binding is WAL'd before the
+//! settlement decision is covered by a journal barrier before the
+//! ticket is resolved (WAL-before-ack), and the order/nonce binding is WAL'd before the
 //! confirmation challenge is registered for issuance
 //! (WAL-before-challenge). This pass turns both from convention into
 //! machine-checked rule, driven by `scripts/authz_spec.json`.
@@ -24,10 +24,10 @@
 //! *performer closure* lifts the rule across the call graph: a function
 //! that contains a before-event and discharges the rule (BEFORE or
 //! GUARD) on every exit that returns normally becomes a before-event
-//! itself — `Settlement::journal_verdict` journals or is in no-journal
-//! mode, so `verify_settling`, which calls it, performs the WAL write
-//! for the worker. Only *placed* calls perform; an after-event is
-//! matched on every fn a call may reach. Functions containing no
+//! itself — `Batch::commit` syncs or is in no-journal mode, so the
+//! worker's call to it performs the barrier before any reply. Only
+//! *placed* calls perform; an after-event is matched on every fn a call
+//! may reach. Functions containing no
 //! before-event at all are skipped entirely — a recovery path that never
 //! journals is not *violating* the ordering, it is outside the protocol
 //! segment the rule describes.

@@ -167,20 +167,31 @@ fn authz_flow_flags_unguarded_status_demotion() {
     );
 }
 
-/// WAL-before-ack: resolving the ticket before the journal append on a
-/// `Settle` path denies; append-first, the `if let Some(journal)` guard
-/// and the must-journaling helper (performer closure) are all clean.
+/// WAL-before-ack: resolving a ticket before the journal barrier
+/// denies, both ahead of the append and between a batch's appends and
+/// its one `sync_to`; barrier-first, the `if let Some(journal)` guard,
+/// the must-sync helper (performer closure) and a group commit that
+/// resolves every ticket after its barrier are all clean.
 #[test]
 fn protocol_order_flags_ack_before_wal_only() {
     let analysis = analyze(&[("crates/server/src/order_ack.rs", "order_ack.rs")]);
     assert_diags(
         &analysis,
-        &[(
-            "crates/server/src/order_ack.rs",
-            7,
-            "protocol-order",
-            "`send` here can run before `append_record` on some path through `ack_first`",
-        )],
+        &[
+            (
+                "crates/server/src/order_ack.rs",
+                9,
+                "protocol-order",
+                "`send` here can run before `sync_to` on some path through `ack_first`",
+            ),
+            (
+                "crates/server/src/order_ack.rs",
+                59,
+                "protocol-order",
+                "`send` here can run before `sync_to` on some path through \
+                 `ack_before_barrier`",
+            ),
+        ],
     );
 }
 

@@ -3,11 +3,11 @@
 //! A [`ServiceProvider`] owns the store, the audit log and one
 //! [`Settlement`] from construction. It issues challenges from its own
 //! seeded [`NonceStream`], registers each with the settlement, and
-//! settles evidence inline through [`Settlement::verify_settling`]. With
-//! [`ServiceProvider::attach_service`] the same settlement is handed to
-//! a [`VerifierService`] worker pool and evidence settles on its workers
-//! instead, so a provider has exactly one nonce ledger whether or not a
-//! pool is attached. Either way the verdict comes from `utp-core`'s one
+//! settles evidence inline through [`Settlement::verify_settling`] (a
+//! batch of one). With [`ServiceProvider::attach_service`] the same
+//! settlement is handed to a [`VerifierService`] worker pool and
+//! evidence settles on its workers instead, so a provider has exactly
+//! one nonce ledger whether or not a pool is attached. Either way the verdict comes from `utp-core`'s one
 //! settlement core, the same one a serial `Verifier` runs.
 
 use crate::audit::AuditLog;
@@ -288,9 +288,10 @@ impl ServiceProvider {
     /// Accepts evidence for an order.
     ///
     /// Settled on the attached [`VerifierService`]'s workers when one is
-    /// present, otherwise inline; both go through the one
-    /// [`Settlement::verify_settling`], which journals the verdict before
-    /// it returns.
+    /// present, otherwise inline as a batch of one
+    /// ([`Settlement::verify_settling`]); both settle through the one
+    /// [`crate::service::Batch`], whose verdicts come out only after a
+    /// covering journal flush.
     ///
     /// # Errors
     ///
@@ -309,8 +310,9 @@ impl ServiceProvider {
             // Same WAL-before-effect discipline as settlement: the
             // terminal decision is durable before the audit log, store or
             // caller see it.
-            self.settlement
-                .journal_verdict(order_id, evidence, now, &Err::<(), _>(e));
+            let mut decision = self.settlement.batch();
+            decision.reject(order_id, evidence, now, e);
+            decision.commit();
             self.audit.record(now, order_id, Err(e));
             self.store.reject(order_id, e);
             return Err(e);

@@ -12,12 +12,18 @@
 //! * [`Settlement`] — the core plus an **LRU cache of validated AIK
 //!   certificates** keyed by certificate digest (a repeat client costs
 //!   one RSA verify, not two) and the optional settlement journal.
-//!   [`Settlement::verify_settling`] is the core's `settle_evidence`
-//!   with certificates resolved through the cache, followed by
-//!   WAL-before-ack, on the calling thread; `Settlement::fork`
-//!   deep-copies it so the explorer can branch on it.
+//!   Decisions settle through a [`Batch`]: each is the core's
+//!   `settle_evidence` with certificates resolved through the cache,
+//!   and its verdict is appended to the journal; [`Batch::commit`]
+//!   issues **one covering flush per batch**, not one per decision, and
+//!   only then releases the verdicts (WAL-before-ack).
+//!   [`Settlement::verify_settling`], the inline path, is a batch of
+//!   one on the calling thread; `Settlement::fork` deep-copies the
+//!   settlement so the explorer can branch on it.
 //! * [`VerifierService`] — a bounded submission queue and a pool of
-//!   worker threads around an `Arc<Settlement>`. A full queue blocks
+//!   worker threads around an `Arc<Settlement>`. Each worker commits
+//!   the job it dequeued plus whatever is already queued as one batch,
+//!   then resolves their tickets in submission order. A full queue blocks
 //!   (or, via [`VerifierService::try_submit_evidence`], reports
 //!   [`SubmitError::QueueFull`]) instead of buffering without limit;
 //!   **graceful shutdown** drains every in-flight job before joining,
@@ -68,9 +74,10 @@ pub struct ServiceConfig {
     pub recorder: Option<Arc<Recorder>>,
     /// Settlement journal. When set, every settle decision is written
     /// ahead of its acknowledgement (WAL-before-ack): the settlement
-    /// appends a `Settle` record and waits for a covering flush before
-    /// the verdict is returned (or its ticket resolves), so no accepted
-    /// (or consumed-nonce) outcome can be forgotten by a crash.
+    /// appends a `Settle` record per decision and waits for one covering
+    /// flush per batch (see [`Batch`]) before the verdicts are returned
+    /// (or their tickets resolve), so no accepted (or consumed-nonce)
+    /// outcome can be forgotten by a crash.
     pub journal: Option<Arc<Journal>>,
     /// Admission control for [`VerifierService::try_submit_evidence`]:
     /// when set, submissions arriving while the policy's bound of jobs
@@ -338,10 +345,19 @@ impl Settlement {
         &self.settler
     }
 
-    /// Settles evidence for `order` and journals the verdict: the core's
-    /// [`Settler::settle_evidence`] with AIK certificates served from the
-    /// cache, then the decision written ahead of returning it
-    /// (WAL-before-ack).
+    /// Opens an empty [`Batch`] of settle decisions on this settlement.
+    pub fn batch(&self) -> Batch<'_> {
+        Batch {
+            settlement: self,
+            outcomes: Vec::new(),
+            last_seq: None,
+        }
+    }
+
+    /// Settles evidence for `order` as a batch of one: the decision
+    /// goes through [`Batch::settle`] and comes back from
+    /// [`Batch::commit`], so it is durable before it is returned
+    /// (WAL-before-ack) at one append and one barrier.
     ///
     /// # Errors
     ///
@@ -352,26 +368,68 @@ impl Settlement {
         evidence: &Evidence,
         now: Duration,
     ) -> Result<VerifiedTransaction, VerifyError> {
-        let outcome = self.settler.settle_evidence(evidence, now, |cert| {
-            self.cache.resolve(cert, self.settler.ca_key())
+        let mut batch = self.batch();
+        batch.settle(order, evidence, now);
+        batch
+            .commit()
+            .pop()
+            .unwrap_or(Err(VerifyError::ServiceUnavailable))
+    }
+}
+
+/// Settle decisions appended to the journal and not yet covered by a
+/// flush: one group commit in the making. The verdicts stay sealed
+/// inside; [`Batch::commit`] issues the one covering barrier and only
+/// then hands them out, so no caller can act on a decision that a crash
+/// could still forget (WAL-before-ack). A batch dropped uncommitted
+/// releases nothing.
+#[derive(Debug)]
+#[must_use = "a batch releases its verdicts only through `commit`"]
+pub struct Batch<'s> {
+    settlement: &'s Settlement,
+    outcomes: Vec<Result<VerifiedTransaction, VerifyError>>,
+    /// Journal sequence number of the last appended verdict.
+    last_seq: Option<u64>,
+}
+
+impl Batch<'_> {
+    /// Settles evidence for `order` and appends the verdict: the core's
+    /// [`Settler::settle_evidence`] with AIK certificates served from
+    /// the settlement's cache. The nonce is consumed at once, so a later
+    /// decision of the same batch already sees it.
+    pub fn settle(&mut self, order: u64, evidence: &Evidence, now: Duration) {
+        let settlement = self.settlement;
+        let outcome = settlement.settler.settle_evidence(evidence, now, |cert| {
+            settlement.cache.resolve(cert, settlement.settler.ca_key())
         });
-        self.journal_verdict(order, evidence, now, &outcome);
-        outcome
+        self.append(order, evidence, now, outcome);
     }
 
-    /// Journals a verdict on `order`'s evidence and waits for a covering
-    /// flush, so the decision is durable before anyone acts on it. The
-    /// nonce comes from the token; evidence that did not even parse is
-    /// journaled under the zero nonce (no ledger effect on recovery). A
-    /// no-op without a journal.
-    pub(crate) fn journal_verdict<T>(
-        &self,
+    /// Appends a rejection decided before settlement (the provider's
+    /// order-binding check) under the same discipline as a settled
+    /// verdict.
+    pub(crate) fn reject(
+        &mut self,
         order: u64,
         evidence: &Evidence,
         now: Duration,
-        outcome: &Result<T, VerifyError>,
+        e: VerifyError,
     ) {
-        if let Some(journal) = self.journal.get() {
+        self.append(order, evidence, now, Err(e));
+    }
+
+    /// Journals a verdict on `order`'s evidence (no flush) and seals it
+    /// in the batch. The nonce comes from the token; evidence that did
+    /// not even parse is journaled under the zero nonce (no ledger
+    /// effect on recovery). Without a journal only the verdict is kept.
+    fn append(
+        &mut self,
+        order: u64,
+        evidence: &Evidence,
+        now: Duration,
+        outcome: Result<VerifiedTransaction, VerifyError>,
+    ) {
+        if let Some(journal) = self.settlement.journal.get() {
             let nonce = evidence
                 .token()
                 .map(|t| *t.nonce.as_bytes())
@@ -382,8 +440,21 @@ impl Settlement {
                 at: now,
                 outcome: outcome.as_ref().map(|_| ()).map_err(|e| *e),
             });
-            journal.sync_to(receipt.seq);
+            self.last_seq = Some(receipt.seq);
         }
+        self.outcomes.push(outcome);
+    }
+
+    /// The group commit: one [`Journal::sync_to`] at the batch's last
+    /// sequence number, then the verdicts, in the order they were
+    /// settled.
+    pub fn commit(self) -> Vec<Result<VerifiedTransaction, VerifyError>> {
+        if let Some(journal) = self.settlement.journal.get() {
+            if let Some(seq) = self.last_seq {
+                journal.sync_to(seq);
+            }
+        }
+        self.outcomes
     }
 }
 
@@ -392,7 +463,8 @@ impl Settlement {
 struct Inner {
     settlement: Arc<Settlement>,
     /// Jobs accepted into the queue and not yet picked up by a worker
-    /// (a worker decrements it on dequeue, before verifying).
+    /// (a worker decrements it as it dequeues each job of a batch,
+    /// before verifying any).
     queue_gauge: Gauge,
     /// Allocates one sequence number per accepted submission, shared by
     /// the deterministic `svc.submit` event and the worker's `svc.job`
@@ -401,7 +473,8 @@ struct Inner {
     /// Submissions bounced by `try_submit_evidence` on a full queue —
     /// the shed-rate numerator fleet-scale admission control keys on.
     shed: Counter,
-    /// Jobs executed per worker thread (utilization spread).
+    /// Jobs (not batches) executed per worker thread (utilization
+    /// spread).
     worker_jobs: Vec<Counter>,
     /// Host nanoseconds the final drain took (set once by `finish`).
     drain_ns: Counter,
@@ -414,12 +487,10 @@ struct Inner {
 }
 
 impl Inner {
-    /// Runs one dequeued job on worker `worker`, emitting the volatile
-    /// per-job flight record (queue wait, verify CPU, outcome) on the
-    /// worker's sink. No lock is held at any emission point. The verdict
-    /// is journaled inside [`Settlement::verify_settling`], so the ticket
-    /// resolves only after a covering flush.
-    fn run(&self, queued: Queued, worker: usize) {
+    /// Takes a job the worker `worker` just dequeued: the gauge falls at
+    /// once, so admission control reads the queue as it is, and the
+    /// job's queue wait is read off its stopwatch.
+    fn take(&self, queued: Queued, worker: usize) -> Job {
         let wait = queued.enqueued.elapsed();
         self.queue_gauge.decr();
         self.worker_jobs[worker].incr();
@@ -428,27 +499,43 @@ impl Inner {
             Duration::ZERO,
             &[(keys::DEPTH, Value::U64(self.queue_gauge.get()))],
         );
-        let WorkItem {
-            evidence,
-            now,
-            order,
-            reply,
-        } = queued.item;
-        let (outcome, cpu) =
-            crate::metrics::host_timed(|| self.settlement.verify_settling(order, &evidence, now));
-        utp_trace::span_volatile(
-            names::SVC_JOB,
-            now,
-            cpu,
-            &[
-                (keys::SEQ, Value::U64(queued.seq)),
-                (keys::WORKER, Value::U64(worker as u64)),
-                (keys::OUTCOME, Value::Str(outcome_label(&outcome))),
-                (keys::WAIT_HOST, Value::HostNs(wait.as_nanos() as u64)),
-                (keys::VERIFY_HOST, Value::HostNs(cpu.as_nanos() as u64)),
-            ],
-        );
-        let _ = reply.send(outcome);
+        Job {
+            item: queued.item,
+            seq: queued.seq,
+            wait,
+            cpu: Duration::ZERO,
+        }
+    }
+
+    /// Runs the dequeued `jobs` on worker `worker` as one group commit:
+    /// each settles and appends its verdict through one [`Batch`], one
+    /// covering flush follows, and only then do the tickets resolve, in
+    /// dequeue (submission) order. Each job's volatile flight record
+    /// keeps its own queue wait and verify CPU (settle plus append); no
+    /// lock is held at any emission point.
+    fn run(&self, jobs: &mut Vec<Job>, worker: usize) {
+        let mut batch = self.settlement.batch();
+        for job in jobs.iter_mut() {
+            let item = &job.item;
+            job.cpu =
+                crate::metrics::host_timed(|| batch.settle(item.order, &item.evidence, item.now)).1;
+        }
+        let outcomes = batch.commit();
+        for (job, outcome) in jobs.drain(..).zip(outcomes) {
+            utp_trace::span_volatile(
+                names::SVC_JOB,
+                job.item.now,
+                job.cpu,
+                &[
+                    (keys::SEQ, Value::U64(job.seq)),
+                    (keys::WORKER, Value::U64(worker as u64)),
+                    (keys::OUTCOME, Value::Str(outcome_label(&outcome))),
+                    (keys::WAIT_HOST, Value::HostNs(job.wait.as_nanos() as u64)),
+                    (keys::VERIFY_HOST, Value::HostNs(job.cpu.as_nanos() as u64)),
+                ],
+            );
+            let _ = job.item.reply.send(outcome);
+        }
     }
 }
 
@@ -469,6 +556,15 @@ struct Queued {
     item: WorkItem,
     seq: u64,
     enqueued: HostStopwatch,
+}
+
+/// A dequeued [`WorkItem`] in a worker's batch, with its submission
+/// sequence number and host-measured queue wait and verify CPU.
+struct Job {
+    item: WorkItem,
+    seq: u64,
+    wait: Duration,
+    cpu: Duration,
 }
 
 /// Flattens an outcome to the label the trace's `outcome` field carries.
@@ -526,10 +622,23 @@ impl VerifierService {
                     let _sink = recorder
                         .as_ref()
                         .map(|r| r.install(&format!("worker/{worker}")));
-                    // `recv` drains remaining items after the handle drops
-                    // the sender, so shutdown never abandons a ticket.
+                    // A batch is the job `recv` returned plus whatever is
+                    // already queued, up to an even share of the backlog
+                    // over the pool, so no other worker idles while one
+                    // holds the queue. `recv` and `try_recv` drain
+                    // remaining items after the handle drops the sender,
+                    // so shutdown never abandons a ticket.
+                    let mut jobs = Vec::new();
                     while let Ok(queued) = intake.recv() {
-                        inner.run(queued, worker);
+                        let share = (inner.queue_gauge.get() as usize).div_ceil(threads);
+                        jobs.push(inner.take(queued, worker));
+                        while jobs.len() < share {
+                            let Ok(queued) = intake.try_recv() else {
+                                break;
+                            };
+                            jobs.push(inner.take(queued, worker));
+                        }
+                        inner.run(&mut jobs, worker);
                     }
                 })
             })
@@ -736,6 +845,7 @@ mod tests {
     use utp_core::operator::{ConfirmingHuman, Intent};
     use utp_core::protocol::Transaction;
     use utp_core::verifier::Verifier;
+    use utp_journal::{DeviceProfile, JournalConfig, JournalStats};
     use utp_platform::machine::{Machine, MachineConfig};
 
     struct World {
@@ -1078,6 +1188,131 @@ mod tests {
         let full = recorder.export_jsonl(utp_trace::Export::Full);
         assert!(full.contains("wait_host"));
         assert!(full.contains("verify_host"));
+    }
+
+    /// A journal whose own group commit is wider than any batch here, so
+    /// every flush is a barrier the settlement asked for.
+    fn barrier_only_journal() -> Arc<Journal> {
+        Arc::new(Journal::new(JournalConfig::new(
+            DeviceProfile::fast_for_tests(),
+            64,
+        )))
+    }
+
+    /// A settlement over `w`'s CA with every request registered and a
+    /// [`barrier_only_journal`].
+    fn journaled(w: &World) -> (Settlement, Arc<Journal>) {
+        let journal = barrier_only_journal();
+        let mut config = ServiceConfig::new(1, 2);
+        config.journal = Some(Arc::clone(&journal));
+        let settlement = Settlement::new(w.ca_key.clone(), &config);
+        for r in &w.requests {
+            settlement.settler().register(r, w.now);
+        }
+        (settlement, journal)
+    }
+
+    #[test]
+    fn batch_of_four_pays_one_barrier_before_its_verdicts() {
+        let w = world(3, 2800);
+        let (settlement, journal) = journaled(&w);
+        let mut batch = settlement.batch();
+        // The replay of item 0 sees the nonce its own batch consumed.
+        for (order, i) in [0, 1, 0, 2].into_iter().enumerate() {
+            batch.settle(order as u64, &w.evidence[i], w.now);
+        }
+        let appended = JournalStats {
+            appends: 4,
+            ..JournalStats::default()
+        };
+        assert_eq!(journal.stats(), appended, "appended, no barrier yet");
+        assert_eq!(journal.durable_seq(), 0);
+        let verdicts = batch.commit();
+        assert_eq!(journal.durable_seq(), 4, "released only once covered");
+        assert_eq!(
+            journal.stats(),
+            JournalStats {
+                syncs: 1,
+                ..appended
+            }
+        );
+        let verdicts: Vec<_> = verdicts.iter().map(|v| v.as_ref().map(|_| ())).collect();
+        assert_eq!(
+            verdicts,
+            [Ok(()), Ok(()), Err(&VerifyError::Replayed), Ok(())]
+        );
+    }
+
+    #[test]
+    fn verify_settling_is_a_batch_of_one() {
+        let w = world(3, 2900);
+        let (settlement, journal) = journaled(&w);
+        for (i, evidence) in w.evidence.iter().enumerate() {
+            assert!(settlement
+                .verify_settling(i as u64, evidence, w.now)
+                .is_ok());
+            let n = i as u64 + 1;
+            let one_barrier_each = JournalStats {
+                appends: n,
+                syncs: n,
+                ..JournalStats::default()
+            };
+            assert_eq!(journal.stats(), one_barrier_each);
+            assert_eq!(journal.durable_seq(), n);
+        }
+    }
+
+    /// Five jobs behind a worker stalled inside its first batch: the
+    /// gauge falls as a job is dequeued, not when it settles; the jobs
+    /// queued meanwhile share at most one more barrier; every job keeps
+    /// its own count and flight record; shutdown drains them all.
+    #[test]
+    fn worker_group_commits_what_queued_behind_it() {
+        let w = world(5, 3000);
+        let journal = barrier_only_journal();
+        let recorder = Arc::new(Recorder::new());
+        let mut config = ServiceConfig::new(1, 2);
+        config.journal = Some(Arc::clone(&journal));
+        config.recorder = Some(Arc::clone(&recorder));
+        let svc = VerifierService::start(w.ca_key.clone(), config);
+        for r in &w.requests {
+            svc.register(r, w.now);
+        }
+        // Holding the certificate cache stalls the worker mid-verify.
+        let stall = svc.inner.settlement.cache.state.lock();
+        let mut tickets = vec![svc.submit_evidence(w.evidence[0].clone(), w.now).unwrap()];
+        while svc.queue_depth() > 0 {
+            std::thread::yield_now();
+        }
+        for e in &w.evidence[1..] {
+            tickets.push(svc.submit_evidence(e.clone(), w.now).unwrap());
+        }
+        drop(stall);
+        let stats = svc.shutdown();
+        assert!(tickets.into_iter().all(|t| t.wait().is_ok()));
+        assert_eq!(stats.worker_jobs, [5], "jobs, not batches");
+        let jstats = journal.stats();
+        assert_eq!(jstats.appends, 5);
+        assert!(jstats.syncs <= 2, "one barrier per batch: {jstats:?}");
+        assert_eq!(journal.durable_seq(), 5);
+        let recs = recorder.records();
+        let field = |r: &utp_trace::TraceRecord, key: &str| {
+            r.fields
+                .iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| v.clone())
+        };
+        let mut seqs = Vec::new();
+        for r in recs.iter().filter(|r| r.name == names::SVC_JOB) {
+            assert!(matches!(field(r, keys::WAIT_HOST), Some(Value::HostNs(_))));
+            assert!(matches!(field(r, keys::VERIFY_HOST), Some(Value::HostNs(ns)) if ns > 0));
+            match field(r, keys::SEQ) {
+                Some(Value::U64(seq)) => seqs.push(seq),
+                other => panic!("svc.job without a seq: {other:?}"),
+            }
+        }
+        seqs.sort_unstable();
+        assert_eq!(seqs, [0, 1, 2, 3, 4], "one flight record per job");
     }
 
     #[test]

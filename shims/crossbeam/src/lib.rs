@@ -6,6 +6,11 @@
 //! lower than real crossbeam but semantics (cloneable receivers,
 //! disconnect on last-sender/last-receiver drop, blocking backpressure on
 //! full bounded queues) match.
+//!
+//! A `Condvar` notify costs a futex syscall even when no thread waits,
+//! so each side counts its blocked threads under the channel mutex and
+//! notifies only when that count is non-zero: a send to a receiver that
+//! is already busy, or a drop nobody waits on, makes no syscall.
 
 #![forbid(unsafe_code)]
 
@@ -16,10 +21,11 @@ pub mod channel {
 
     struct Shared<T> {
         queue: Mutex<State<T>>,
-        /// Signaled when an item is enqueued or the last sender drops.
+        /// Signaled, while a receiver is blocked, when an item is
+        /// enqueued or the last sender drops.
         ready: Condvar,
-        /// Signaled when an item is dequeued or the last receiver drops
-        /// (wakes senders blocked on a full bounded queue).
+        /// Signaled, while a sender is blocked on a full bounded queue,
+        /// when an item is dequeued or the last receiver drops.
         space: Condvar,
     }
 
@@ -29,6 +35,10 @@ pub mod channel {
         receivers: usize,
         /// `usize::MAX` for unbounded channels.
         capacity: usize,
+        /// Receivers blocked on `ready`.
+        blocked_receivers: usize,
+        /// Senders blocked on `space` (full bounded queue).
+        blocked_senders: usize,
     }
 
     /// Error returned by [`Sender::send`] when all receivers are gone.
@@ -78,6 +88,8 @@ pub mod channel {
                 senders: 1,
                 receivers: 1,
                 capacity,
+                blocked_receivers: 0,
+                blocked_senders: 0,
             }),
             ready: Condvar::new(),
             space: Condvar::new(),
@@ -117,15 +129,20 @@ pub mod channel {
                 }
                 if state.items.len() < state.capacity {
                     state.items.push_back(value);
+                    let wake = state.blocked_receivers > 0;
                     drop(state);
-                    self.shared.ready.notify_one();
+                    if wake {
+                        self.shared.ready.notify_one();
+                    }
                     return Ok(());
                 }
+                state.blocked_senders += 1;
                 state = self
                     .shared
                     .space
                     .wait(state)
                     .unwrap_or_else(|e| e.into_inner());
+                state.blocked_senders -= 1;
             }
         }
 
@@ -144,8 +161,11 @@ pub mod channel {
                 return Err(TrySendError::Full(value));
             }
             state.items.push_back(value);
+            let wake = state.blocked_receivers > 0;
             drop(state);
-            self.shared.ready.notify_one();
+            if wake {
+                self.shared.ready.notify_one();
+            }
             Ok(())
         }
     }
@@ -165,9 +185,9 @@ pub mod channel {
         fn drop(&mut self) {
             let mut state = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
             state.senders -= 1;
-            let disconnected = state.senders == 0;
+            let wake = state.senders == 0 && state.blocked_receivers > 0;
             drop(state);
-            if disconnected {
+            if wake {
                 self.shared.ready.notify_all();
             }
         }
@@ -179,18 +199,23 @@ pub mod channel {
             let mut state = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
             loop {
                 if let Some(item) = state.items.pop_front() {
+                    let wake = state.blocked_senders > 0;
                     drop(state);
-                    self.shared.space.notify_one();
+                    if wake {
+                        self.shared.space.notify_one();
+                    }
                     return Ok(item);
                 }
                 if state.senders == 0 {
                     return Err(RecvError);
                 }
+                state.blocked_receivers += 1;
                 state = self
                     .shared
                     .ready
                     .wait(state)
                     .unwrap_or_else(|e| e.into_inner());
+                state.blocked_receivers -= 1;
             }
         }
 
@@ -198,8 +223,11 @@ pub mod channel {
         pub fn try_recv(&self) -> Result<T, RecvError> {
             let mut state = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
             let item = state.items.pop_front().ok_or(RecvError)?;
+            let wake = state.blocked_senders > 0;
             drop(state);
-            self.shared.space.notify_one();
+            if wake {
+                self.shared.space.notify_one();
+            }
             Ok(item)
         }
     }
@@ -219,11 +247,128 @@ pub mod channel {
         fn drop(&mut self) {
             let mut state = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
             state.receivers -= 1;
-            let disconnected = state.receivers == 0;
+            let wake = state.receivers == 0 && state.blocked_senders > 0;
             drop(state);
-            if disconnected {
+            if wake {
                 self.shared.space.notify_all();
             }
+        }
+    }
+
+    /// Wake-up tests: each parks a thread in `recv` or `send`, waits
+    /// until the channel counts it as blocked, then checks that the one
+    /// event meant to wake it does.
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        /// Spins until `n` threads are blocked on `shared`, as counted by
+        /// `blocked`.
+        fn await_blocked<T>(shared: &Shared<T>, n: usize, blocked: fn(&State<T>) -> usize) {
+            while blocked(&shared.queue.lock().unwrap()) < n {
+                std::thread::yield_now();
+            }
+        }
+
+        fn receivers<T>(state: &State<T>) -> usize {
+            state.blocked_receivers
+        }
+
+        fn senders<T>(state: &State<T>) -> usize {
+            state.blocked_senders
+        }
+
+        /// No thread is left counted as blocked.
+        fn assert_idle<T>(shared: &Shared<T>) {
+            let state = shared.queue.lock().unwrap();
+            assert_eq!((state.blocked_receivers, state.blocked_senders), (0, 0));
+        }
+
+        #[test]
+        fn blocked_receiver_wakes_on_send() {
+            let (tx, rx) = unbounded::<u8>();
+            std::thread::scope(|scope| {
+                let receiver = scope.spawn(|| rx.recv());
+                await_blocked(&tx.shared, 1, receivers);
+                tx.send(7).unwrap();
+                assert_eq!(receiver.join().unwrap(), Ok(7));
+            });
+            assert_idle(&tx.shared);
+        }
+
+        #[test]
+        fn blocked_receiver_wakes_on_last_sender_drop() {
+            let (tx, rx) = unbounded::<u8>();
+            let tx2 = tx.clone();
+            std::thread::scope(|scope| {
+                let receiver = scope.spawn(|| rx.recv());
+                await_blocked(&rx.shared, 1, receivers);
+                drop(tx);
+                drop(tx2);
+                assert_eq!(receiver.join().unwrap(), Err(RecvError));
+            });
+            assert_idle(&rx.shared);
+        }
+
+        #[test]
+        fn blocked_sender_wakes_on_recv() {
+            let (tx, rx) = bounded::<u8>(1);
+            tx.send(1).unwrap();
+            std::thread::scope(|scope| {
+                let sender = scope.spawn(|| tx.send(2));
+                await_blocked(&rx.shared, 1, senders);
+                assert_eq!(rx.recv(), Ok(1));
+                assert_eq!(sender.join().unwrap(), Ok(()));
+            });
+            assert_eq!(rx.try_recv(), Ok(2));
+            assert_idle(&rx.shared);
+        }
+
+        #[test]
+        fn blocked_sender_wakes_on_last_receiver_drop() {
+            let (tx, rx) = bounded::<u8>(1);
+            let rx2 = rx.clone();
+            tx.send(1).unwrap();
+            std::thread::scope(|scope| {
+                let sender = scope.spawn(|| tx.send(2));
+                await_blocked(&tx.shared, 1, senders);
+                drop(rx);
+                drop(rx2);
+                assert_eq!(sender.join().unwrap(), Err(SendError(2)));
+            });
+            assert_idle(&tx.shared);
+        }
+
+        #[test]
+        fn fan_out_to_blocked_receivers_drains_every_item() {
+            let (tx, rx) = unbounded::<usize>();
+            let mut seen: Vec<usize> = Vec::new();
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..4)
+                    .map(|_| {
+                        let rx = rx.clone();
+                        scope.spawn(move || {
+                            let mut got = Vec::new();
+                            while let Ok(i) = rx.recv() {
+                                got.push(i);
+                            }
+                            got
+                        })
+                    })
+                    .collect();
+                await_blocked(&tx.shared, 4, receivers);
+                for i in 0..100 {
+                    tx.send(i).unwrap();
+                }
+                let shared = Arc::clone(&tx.shared);
+                drop(tx);
+                for h in handles {
+                    seen.extend(h.join().unwrap());
+                }
+                assert_idle(&shared);
+            });
+            seen.sort_unstable();
+            assert_eq!(seen, (0..100).collect::<Vec<_>>());
         }
     }
 }

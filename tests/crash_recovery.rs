@@ -17,6 +17,10 @@
 //! - **Pending orders stay settleable**: an order whose challenge was
 //!   issued but not settled before the crash settles exactly once after
 //!   recovery.
+//!
+//! A second test strikes a crash inside one group commit, after the
+//! batch's appends and before its barrier, with every prefix of the
+//! batch the device could have written.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -26,11 +30,12 @@ use utp::core::operator::{ConfirmingHuman, Intent};
 use utp::core::protocol::Evidence;
 use utp::core::verifier::{VerifierConfig, VerifyError};
 use utp::journal::{
-    frame_boundaries, replay_bytes, scan, Journal, JournalConfig, JournalRecord, LogEnd,
-    RecoveredStatus,
+    frame_boundaries, replay_bytes, scan, DeviceProfile, Journal, JournalConfig, JournalRecord,
+    LogEnd, RecoveredStatus,
 };
 use utp::platform::machine::{Machine, MachineConfig};
 use utp::server::provider::ServiceProvider;
+use utp::server::store::OrderStatus;
 
 const OPENING_CENTS: i64 = 1_000_000;
 const ORDERS: usize = 6;
@@ -226,5 +231,152 @@ fn recovered_provider_re_verifies_correctly_at_every_boundary() {
                 "boundary {b}"
             );
         }
+    }
+}
+
+/// Orders settled one at a time, and acknowledged, before the batch.
+const ACKED: usize = 2;
+/// Decisions in the group commit the crash strikes.
+const BATCH: usize = 4;
+
+/// How a crash strikes a group commit between its appends and its
+/// barrier, in the explorer's crash vocabulary. Truncation and torn
+/// tails apply to the log as it would read had the staged batch
+/// reached the media: the device wrote part of the batch before power
+/// failed.
+#[derive(Debug, Clone, Copy)]
+enum Strike {
+    /// The staged batch is lost whole.
+    PowerLoss,
+    /// The batch reached the media but its last `drop_frames` frames.
+    Truncate { drop_frames: usize },
+    /// The batch reached the media but its last `bytes` bytes.
+    TornTail { bytes: usize },
+}
+
+/// A crash between a batch's appends and its `sync_to`: the verdicts of
+/// the batch never leave it, every acknowledged decision survives, and
+/// resubmitting the batch's evidence after recovery settles each order
+/// exactly once, whatever prefix of the batch the device wrote.
+#[test]
+fn crash_between_batch_appends_and_barrier_forgets_nothing_acknowledged() {
+    let ca = PrivacyCa::new(512, 7_301);
+    let mut provider = ServiceProvider::new(ca.public_key().clone(), 7_302);
+    // Larger than the batch: no automatic flush makes any of it durable.
+    let config = JournalConfig::new(DeviceProfile::fast_for_tests(), 4 * BATCH);
+    let journal = Arc::new(Journal::new(config.clone()));
+    provider.attach_journal(Arc::clone(&journal));
+    provider.open_account("alice", OPENING_CENTS);
+    let mut machine = Machine::new(MachineConfig::fast_for_tests(7_303));
+    let mut client = Client::new(ClientConfig::fast_for_tests(), ca.enroll(&mut machine));
+
+    let mut orders = Vec::new();
+    for i in 0..ACKED + BATCH {
+        let amount = 2_000 + 100 * i as u64;
+        let (order_id, request) =
+            provider.place_order("alice", "shop", amount, "EUR", "batch", machine.now());
+        let mut human =
+            ConfirmingHuman::new(Intent::approving(&request.transaction), 7_400 + i as u64);
+        let evidence = client.confirm(&mut machine, &request, &mut human).unwrap();
+        orders.push((order_id, amount, evidence));
+    }
+    let now = machine.now();
+    let (acked, batched) = orders.split_at(ACKED);
+    for (order_id, _, evidence) in acked {
+        provider.submit_evidence(*order_id, evidence, now).unwrap();
+    }
+
+    // The seam: every decision of the batch appended, none covered.
+    let mut batch = provider.settlement().batch();
+    for (order_id, _, evidence) in batched {
+        batch.settle(*order_id, evidence, now);
+    }
+    let appended = journal.stats().appends;
+    assert_eq!(journal.durable_seq() + BATCH as u64, appended);
+    let durable = journal.durable_log_bytes();
+    let written = journal.fork();
+    written.sync();
+    let full = written.durable_log_bytes();
+    let frames = frame_boundaries(&full);
+    let batch_frames = &frames[frames.len() - 1 - BATCH..];
+    assert_eq!(batch_frames[0], durable.len());
+    // The crash: the batch never commits, so none of its verdicts is
+    // released, and the provider acted on none of them.
+    drop(batch);
+    for (order_id, _, _) in batched {
+        assert_eq!(
+            provider.store().order(*order_id).map(|o| &o.status),
+            Some(&OrderStatus::Pending)
+        );
+        assert!(provider.audit().entries().all(|e| e.order_id != *order_id));
+    }
+
+    let mut strikes = vec![Strike::PowerLoss];
+    strikes.extend((0..=BATCH).map(|drop_frames| Strike::Truncate { drop_frames }));
+    strikes.extend(batch_frames.windows(2).map(|w| Strike::TornTail {
+        bytes: full.len() - (w[0] + w[1]) / 2,
+    }));
+    for strike in strikes {
+        let image = match strike {
+            Strike::PowerLoss => {
+                let crashed = journal.fork();
+                crashed.crash();
+                crashed
+            }
+            Strike::Truncate { drop_frames } => {
+                let cut = frames[frames.len() - 1 - drop_frames];
+                Journal::with_durable(config.clone(), &[], &full[..cut])
+            }
+            Strike::TornTail { bytes } => {
+                Journal::with_durable(config.clone(), &[], &full[..full.len() - bytes])
+            }
+        };
+        let log = image.durable_log_bytes();
+        assert!(
+            log.starts_with(&durable),
+            "{strike:?}: history below the batch survives"
+        );
+        let (_, survived) = durable_ids(&log);
+        let (mut recovered, _) = ServiceProvider::recover(
+            ca.public_key().clone(),
+            VerifierConfig::default(),
+            7_304,
+            Arc::new(image),
+        );
+
+        // Nothing acknowledged is forgotten.
+        for (order_id, _, evidence) in acked {
+            assert_eq!(
+                recovered.store().order(*order_id).map(|o| &o.status),
+                Some(&OrderStatus::Confirmed),
+                "{strike:?}"
+            );
+            assert_eq!(
+                recovered.submit_evidence(*order_id, evidence, now),
+                Err(VerifyError::Replayed),
+                "{strike:?}"
+            );
+        }
+        // Resubmitting the batch's evidence settles each order once:
+        // now, or already through the frame the device wrote.
+        for (order_id, _, evidence) in batched {
+            let first = recovered.submit_evidence(*order_id, evidence, now);
+            if survived.contains(order_id) {
+                assert_eq!(first, Err(VerifyError::Replayed), "{strike:?}");
+            } else {
+                assert!(first.is_ok(), "{strike:?}, order {order_id}: {first:?}");
+            }
+            assert_eq!(
+                recovered.submit_evidence(*order_id, evidence, now),
+                Err(VerifyError::Replayed),
+                "{strike:?}"
+            );
+        }
+        let debits: i64 = orders.iter().map(|(_, amount, _)| *amount as i64).sum();
+        assert_eq!(
+            recovered.store().account("alice").unwrap().balance_cents,
+            OPENING_CENTS - debits,
+            "{strike:?}: every order debited exactly once"
+        );
     }
 }
