@@ -12,8 +12,9 @@
 //! * A statement is a top-level token run up to `;` (nested brace /
 //!   paren / bracket groups are skipped), so `let x = if c { a } else
 //!   { b };` is one straight-line statement — expression-level control
-//!   flow inside a statement is not split. Closure bodies likewise stay
-//!   inside their statement.
+//!   flow inside a statement is not split here (the passes that need it
+//!   split it with `passes::flow::branch_at`). Closure bodies likewise
+//!   stay inside their statement.
 //! * `match` is treated as exhaustive (no direct scrutinee → join
 //!   edge); `if` without `else` gets the fall-through edge.
 //! * A labeled `break`/`continue` targets its named loop; an unknown

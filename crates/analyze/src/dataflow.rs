@@ -2,9 +2,9 @@
 //!
 //! Passes define a [`Lattice`] (their per-program-point abstract state)
 //! and a transfer function over statements; [`solve`] runs a worklist
-//! to a fixpoint and returns each block's *entry* state. Passes then
-//! re-walk each reached block from its entry state, checking sinks at
-//! the pre-state of every statement and re-applying the transfer.
+//! to a fixpoint and returns each block's *entry* state. [`replay`]
+//! then re-walks each reached block from its entry state, so a pass
+//! checks its sinks at the pre-state of every statement.
 //!
 //! Entry states are `Option<L>` with `None` meaning "not reached yet":
 //! this avoids inventing an artificial top element and naturally leaves
@@ -64,6 +64,29 @@ where
         }
     }
     entries
+}
+
+/// Solves `cfg` from `init`, then replays every reached block from its
+/// entry state: `visit` sees each statement's entry state before
+/// `transfer` steps over it. Returns each block's exit state (`None`:
+/// unreachable), in block order.
+pub fn replay<L: Lattice>(
+    cfg: &Cfg,
+    init: L,
+    transfer: impl Fn(&Stmt, &mut L),
+    mut visit: impl FnMut(&Stmt, &L),
+) -> Vec<Option<L>> {
+    let entries = solve(cfg, init, &transfer);
+    (entries.into_iter().zip(&cfg.blocks))
+        .map(|(entry, block)| {
+            let mut st = entry?;
+            for s in &block.stmts {
+                visit(s, &st);
+                transfer(s, &mut st);
+            }
+            Some(st)
+        })
+        .collect()
 }
 
 /// A map lattice from local names to a value lattice. Keys present in

@@ -47,11 +47,13 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Canonical diagnostic order: (file, line, lint), then deduplicated.
-/// Every consumer (driver, renderers, golden snapshots) goes through
-/// this so output never depends on pass traversal order.
+/// Canonical diagnostic order: (file, line, lint, message), then
+/// deduplicated. Every consumer (driver, renderers, golden snapshots)
+/// goes through this so output never depends on pass traversal order.
 pub fn sort_canonical(diags: &mut Vec<Diagnostic>) {
-    diags.sort_by(|a, b| (&a.file, a.line, a.lint).cmp(&(&b.file, b.line, b.lint)));
+    diags.sort_by(|a, b| {
+        (&a.file, a.line, a.lint, &a.message).cmp(&(&b.file, b.line, b.lint, &b.message))
+    });
     diags.dedup();
 }
 

@@ -99,7 +99,7 @@ pub struct FnItem {
     pub end_line: u32,
     /// Token range of the body including braces; `None` for decls.
     pub body: Option<(usize, usize)>,
-    /// Calls made inside the body.
+    /// Calls made inside the body, in token order.
     pub calls: Vec<CallSite>,
     /// Macros invoked inside the body.
     pub macros: Vec<MacroUse>,

@@ -16,7 +16,8 @@
 //! * `no-panic-in-tcb` / `no-panic-transitive` ([`passes::no_panic`])
 //!   — no abort path in TCB code or in anything it reaches, from one
 //!   panic-site list;
-//! * [`passes::ct_discipline`] — secret comparisons go through `ct_eq`;
+//! * [`passes::ct_discipline`] — secret comparisons, branches and
+//!   indices go through `ct_eq`/`ct_select`;
 //! * [`passes::forbid_unsafe`] — `#![forbid(unsafe_code)]` everywhere;
 //! * [`passes::wallclock`] — the simulated clock is the only time source;
 //! * [`passes::secret_taint`] — key material must not flow to
@@ -38,6 +39,8 @@
 //! places every call site on the fns it names — or reports it foreign or
 //! unknown; the flow-sensitive ones run over statement-level CFGs
 //! ([`cfg`](mod@cfg)) with a worklist fixpoint solver ([`dataflow`]).
+//! `secret-taint`, `ct-discipline` and `untrusted-arith` are tables over
+//! one taint engine ([`taint`]).
 //!
 //! Violations that are individually justified carry an inline
 //! `// utp-analyze: allow(<lint>) <reason>` annotation; the reason is
@@ -62,6 +65,7 @@ pub mod passes;
 pub mod report;
 pub mod source;
 pub mod spec;
+pub mod taint;
 pub mod workspace;
 
 use diag::{Diagnostic, Severity};

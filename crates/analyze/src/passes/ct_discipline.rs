@@ -7,31 +7,32 @@
 //! untrusted OS sharing the machine. In `utp-crypto` and the TPM auth
 //! path these must go through `utp_crypto::ct::ct_eq` / `ct_select`.
 //!
-//! Whether a value *is* secret is decided flow-sensitively: each
-//! function body is lowered to a CFG and a per-local secrecy state is
-//! solved to a fixpoint. A local's flow state overrides the name
-//! heuristic in both directions —
+//! Whether a value *is* secret is decided flow-sensitively by the
+//! shared engine ([`crate::taint`]) with this lint's table. A local's
+//! flow state overrides the name heuristic ([`super::is_secret_ident`])
+//! in both directions —
 //!
 //! * `let probe = auth_digest[0];` makes `probe` secret even though the
-//!   name says nothing (the flow-insensitive pass missed this);
+//!   name says nothing;
 //! * `let digest = data.len();` makes `digest` public even though the
-//!   name matches (the flow-insensitive pass flagged any later
-//!   `digest == n` comparison).
+//!   name matches.
 //!
-//! Untracked identifiers (parameters, fields, anything bound through a
-//! call we can't classify) fall back to the name heuristic
-//! ([`super::is_secret_ident`]). Results of `ct_eq` are public by
-//! construction — branching on them is the approved idiom — and public
-//! projections (`len`, `is_some`, ...) launder their receiver. On a
-//! fallback CFG the pass degrades to the pure name heuristic.
+//! A call the engine cannot classify leaves the binding to the name
+//! heuristic (`let digest = ctx.finalize()` stays secret), while a call
+//! that may reach a fn returning a secret taints the binding, so a
+//! secret passed through a helper fn stays visible. Results of `ct_eq`
+//! are public by construction — branching on them is the approved
+//! idiom — and public projections (`len`, `is_some`, ...) launder their
+//! receiver. On a fallback CFG the pass degrades to the pure name
+//! heuristic.
 
 use super::{Finding, Pass};
-use crate::cfg::{build_cfg, Role, Stmt};
-use crate::dataflow::{solve, JoinMap, Lattice};
+use crate::cfg::Role;
+use crate::graph::WorkspaceIndex;
 use crate::items::matching;
 use crate::lexer::{Token, TokenKind};
-use crate::passes::flow::{binding_of, is_index_position, is_local_use, postfix_projects_public};
-use crate::source::SourceFile;
+use crate::passes::flow::{is_index_position, is_local_use, postfix_projects_public};
+use crate::taint::{is_call, Engine, Env, FnFlow, Table, Taint};
 
 /// Methods whose results are public even on secret receivers.
 const PUBLIC_PROJECTIONS: &[&str] = &[
@@ -63,402 +64,193 @@ impl Pass for CtDiscipline {
          or indices outside ct_eq/ct_select"
     }
 
-    fn check(&self, file: &SourceFile) -> Vec<Finding> {
-        if !in_scope(&file.path) {
-            return Vec::new();
-        }
-        let flow = FileFlow::build(file);
-        let mut findings = Vec::new();
-        self.check_comparisons(file, &flow, &mut findings);
-        self.check_branches(file, &flow, &mut findings);
-        self.check_indexing(file, &flow, &mut findings);
-        self.check_loop_returns(file, &mut findings);
-        findings
-    }
-}
-
-// ---------------------------------------------------------------------
-// Per-local secrecy flow.
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Sec {
-    Clean,
-    Secret,
-}
-
-impl Lattice for Sec {
-    fn join_from(&mut self, other: &Self) -> bool {
-        if *self == Sec::Clean && *other == Sec::Secret {
-            *self = Sec::Secret;
-            true
-        } else {
-            false
-        }
-    }
-}
-
-type Env = JoinMap<Sec>;
-
-/// Solved secrecy states: for every statement of every structured
-/// function body, the environment *at entry to* that statement.
-struct FileFlow {
-    /// Disjoint statements (with their roles) and their entry states.
-    states: Vec<(Stmt, Env)>,
-}
-
-impl FileFlow {
-    fn build(file: &SourceFile) -> FileFlow {
-        let toks = &file.tokens;
-        let mut states = Vec::new();
-        for f in &file.items.fns {
-            let Some(body) = f.body else { continue };
-            let cfg = build_cfg(toks, body);
-            if cfg.fallback {
-                continue; // name heuristic only in this fn
-            }
-            let entries = solve(&cfg, Env::default(), |s, env| transfer(toks, s, env));
-            for (bi, block) in cfg.blocks.iter().enumerate() {
-                let Some(entry) = &entries[bi] else { continue };
-                let mut env = entry.clone();
-                for s in &block.stmts {
-                    states.push((s.clone(), env.clone()));
-                    transfer(toks, s, &mut env);
-                }
-            }
-        }
-        FileFlow { states }
-    }
-
-    /// Environment at the statement containing token `i`, if any.
-    fn env_at(&self, i: usize) -> Option<&Env> {
-        self.states
-            .iter()
-            .find(|(s, _)| (s.lo..s.hi).contains(&i))
-            .map(|(_, e)| e)
-    }
-
-    /// Is `name` (used at token `i`) secret? Flow state wins; untracked
-    /// names fall back to the heuristic.
-    fn is_secret(&self, name: &str, i: usize) -> bool {
-        match self.env_at(i).and_then(|e| e.0.get(name)) {
-            Some(Sec::Secret) => true,
-            Some(Sec::Clean) => false,
-            None => super::is_secret_ident(name),
-        }
-    }
-}
-
-/// Secrecy of the expression `[lo, hi)` under `env`: `Some(Secret)` if
-/// any live secret flows in, `Some(Clean)` if every part is known
-/// public, `None` when a call we can't classify decides the value (the
-/// binding then stays on the name heuristic).
-fn classify(toks: &[Token], lo: usize, hi: usize, env: &Env) -> Option<Sec> {
-    let mut secret = false;
-    let mut unknown_call = false;
-    let mut i = lo;
-    while i < hi {
-        let t = &toks[i];
-        if t.kind == TokenKind::Ident && toks.get(i + 1).is_some_and(|n| n.is_punct("(")) {
-            let callee = t.text.as_str();
-            if callee == "ct_eq" {
-                // Public bool result; arguments are the sanctioned
-                // destination for secrets — skip them entirely.
-                if let Some(close) = matching(toks, i + 1, "(", ")") {
-                    i = close + 1;
-                    continue;
-                }
-            } else if !PUBLIC_PROJECTIONS.contains(&callee) {
-                unknown_call = true;
-            }
-        }
-        if is_local_use(toks, i) && !toks[i].is_ident("mut") {
-            let name = &t.text;
-            let effective = match env.0.get(name) {
-                Some(Sec::Secret) => true,
-                Some(Sec::Clean) => false,
-                None => super::is_secret_ident(name),
-            };
-            if effective && !postfix_projects_public(toks, i, PUBLIC_PROJECTIONS) {
-                secret = true;
-            }
-        }
-        i += 1;
-    }
-    if secret {
-        Some(Sec::Secret)
-    } else if unknown_call {
-        None
-    } else {
-        Some(Sec::Clean)
-    }
-}
-
-fn transfer(toks: &[Token], s: &Stmt, env: &mut Env) {
-    match s.role {
-        Role::For => {
-            // `for PAT in EXPR`: bind the pattern idents with EXPR's
-            // secrecy (`for b in key.iter()` makes `b` secret).
-            let Some(in_pos) = (s.lo..s.hi).find(|&i| toks[i].is_ident("in")) else {
-                return;
-            };
-            let v = classify(toks, in_pos + 1, s.hi, env);
-            for t in &toks[s.lo..in_pos] {
-                if t.kind == TokenKind::Ident && !t.is_ident("mut") {
-                    match v {
-                        Some(v) => {
-                            env.0.insert(t.text.clone(), v);
-                        }
-                        None => {
-                            env.0.remove(&t.text);
-                        }
-                    }
-                }
-            }
-        }
-        Role::Normal => {
-            let Some((name, rhs_lo, compound)) = binding_of(toks, s) else {
-                return;
-            };
-            match classify(toks, rhs_lo, s.hi, env) {
-                Some(Sec::Secret) => {
-                    env.0.insert(name, Sec::Secret);
-                }
-                Some(Sec::Clean) => {
-                    if !compound {
-                        env.0.insert(name, Sec::Clean);
-                    }
-                }
-                // Unclassifiable: drop any override so the name
-                // heuristic applies again (`let digest = ctx.finalize()`
-                // must stay treated as secret).
-                None => {
-                    env.0.remove(&name);
-                }
-            }
-        }
-        _ => {}
-    }
-}
-
-// ---------------------------------------------------------------------
-// Sinks.
-
-impl CtDiscipline {
-    fn check_comparisons(&self, file: &SourceFile, flow: &FileFlow, findings: &mut Vec<Finding>) {
-        let tokens = &file.tokens;
-        for (i, t) in tokens.iter().enumerate() {
-            if !(t.is_punct("==") || t.is_punct("!=")) || file.in_test_code(t.line) {
+    fn check_workspace(&self, ws: &WorkspaceIndex) -> Vec<(usize, Finding)> {
+        let engine = Engine::run(ws, &TABLE, vec![false; ws.fns.len()]);
+        let mut out = Vec::new();
+        for idx in 0..ws.fns.len() {
+            let fi = ws.fns[idx].file;
+            let Some(body) = ws.fn_item(idx).body else {
                 continue;
-            }
-            let left = operand_idents(tokens, i, Direction::Left);
-            let right = operand_idents(tokens, i, Direction::Right);
-            let secret_side = |idents: &[String]| {
-                idents.iter().any(|s| flow.is_secret(s, i))
-                    && !idents
-                        .iter()
-                        .any(|s| PUBLIC_PROJECTIONS.contains(&s.as_str()))
             };
-            if secret_side(&left) || secret_side(&right) {
-                findings.push(Finding::deny(
-                    t.line,
+            if ws.is_live_fn(idx) && in_scope(&ws.files[fi].path) {
+                let found = check_fn(&ws.files[fi].tokens, body, &engine.flow(idx));
+                out.extend(
+                    found
+                        .into_iter()
+                        .map(|(line, m)| (fi, Finding::deny(line, m))),
+                );
+            }
+        }
+        out
+    }
+}
+
+/// What ct-discipline tracks: secret-shaped names and calls, made
+/// public by `ct_eq`.
+const TABLE: Table = Table {
+    scope: in_scope,
+    named: super::is_secret_ident,
+    source: super::is_secret_ident,
+    sanitizer: |toks, j| is_call(toks, j) && toks[j].is_ident("ct_eq"),
+    checks: false,
+    opaque_calls: true,
+    public: PUBLIC_PROJECTIONS,
+    public_fn: |_| false,
+    kills: &[],
+};
+
+/// The sinks of one fn body `(open, close)`, as `(line, message)`.
+fn check_fn(toks: &[Token], (open, close): (usize, usize), flow: &FnFlow) -> Vec<(u32, String)> {
+    let mut out = Vec::new();
+    let is_eq = |t: &Token| t.is_punct("==") || t.is_punct("!=");
+    for i in (open..close).filter(|&i| is_eq(&toks[i])) {
+        // Either operand: up to 10 tokens over member access, calls and
+        // indexing.
+        let secret_side = |side: &mut dyn Iterator<Item = &Token>| {
+            let idents: Vec<&str> = (side.take(10))
+                .take_while(|t| match t.kind {
+                    TokenKind::Ident | TokenKind::Number | TokenKind::Char | TokenKind::Str => true,
+                    TokenKind::Punct => {
+                        matches!(
+                            t.text.as_str(),
+                            "." | "::" | "(" | ")" | "[" | "]" | "&" | "*"
+                        )
+                    }
+                    _ => false,
+                })
+                .filter(|t| t.kind == TokenKind::Ident)
+                .map(|t| t.text.as_str())
+                .collect();
+            idents.iter().any(|s| flow.tainted_at(s, i))
+                && !idents.iter().any(|s| PUBLIC_PROJECTIONS.contains(s))
+        };
+        if secret_side(&mut toks[..i].iter().rev()) || secret_side(&mut toks[i + 1..].iter()) {
+            out.push((
+                toks[i].line,
+                format!(
+                    "`{}` on secret-named data short-circuits on the first differing \
+                     byte, leaking a timing oracle; compare with \
+                     `utp_crypto::ct::ct_eq` (or select with `ct_select`)",
+                    toks[i].text
+                ),
+            ));
+        }
+    }
+    for (s, env) in &flow.states {
+        // Branch-on-secret: an `if`/`while` condition or `match`
+        // scrutinee whose value depends on a live secret. Conditions
+        // containing `==`/`!=` are left to the comparison rule (one
+        // finding per defect).
+        if matches!(s.role, Role::If | Role::While | Role::Match)
+            && !toks[s.lo..s.hi].iter().any(is_eq)
+        {
+            if let Some(i) = first_secret(toks, env, (s.lo, s.hi), true) {
+                out.push((
+                    toks[i].line,
                     format!(
-                        "`{}` on secret-named data short-circuits on the first differing \
-                         byte, leaking a timing oracle; compare with \
-                         `utp_crypto::ct::ct_eq` (or select with `ct_select`)",
-                        t.text
+                        "branching on secret-dependent value `{}` leaks it through \
+                         the instruction stream; compute both paths and pick with \
+                         `utp_crypto::ct::ct_select` (compare with `ct_eq`)",
+                        toks[i].text
                     ),
                 ));
             }
         }
-    }
-
-    /// Branch-on-secret: an `if`/`while` condition or `match` scrutinee
-    /// whose value depends on a live secret. Conditions containing
-    /// `==`/`!=` are left to [`Self::check_comparisons`] (one finding
-    /// per defect), and anything inside `ct_eq`/`ct_select` arguments
-    /// is the approved idiom.
-    fn check_branches(&self, file: &SourceFile, flow: &FileFlow, findings: &mut Vec<Finding>) {
-        let toks = &file.tokens;
-        for (stmt, env) in &flow.states {
-            let (lo, hi) = (stmt.lo, stmt.hi);
-            if !matches!(stmt.role, Role::If | Role::While | Role::Match) {
-                continue;
-            }
-            if file.in_test_code(toks[lo].line) {
-                continue;
-            }
-            if toks[lo..hi]
-                .iter()
-                .any(|t| t.is_punct("==") || t.is_punct("!="))
-            {
-                continue;
-            }
-            let mut i = lo;
-            while i < hi {
-                let t = &toks[i];
-                if t.kind == TokenKind::Ident
-                    && CT_FNS.contains(&t.text.as_str())
-                    && toks.get(i + 1).is_some_and(|n| n.is_punct("("))
-                {
-                    if let Some(close) = matching(toks, i + 1, "(", ")") {
-                        i = close + 1;
-                        continue;
-                    }
-                }
-                if is_local_use(toks, i) {
-                    let name = &t.text;
-                    let effective = match env.0.get(name) {
-                        Some(Sec::Secret) => true,
-                        Some(Sec::Clean) => false,
-                        None => super::is_secret_ident(name),
-                    };
-                    if effective && !postfix_projects_public(toks, i, PUBLIC_PROJECTIONS) {
-                        findings.push(Finding::deny(
-                            t.line,
-                            format!(
-                                "branching on secret-dependent value `{}` leaks it through \
-                                 the instruction stream; compute both paths and pick with \
-                                 `utp_crypto::ct::ct_select` (compare with `ct_eq`)",
-                                name
-                            ),
-                        ));
-                        break; // one finding per condition
-                    }
-                }
+        // Secret-dependent indexing: a live secret inside a postfix
+        // `[...]` addresses memory by secret value (cache-line oracle).
+        // Indexing *into* a secret buffer with a public index is fine.
+        let mut i = s.lo + 1;
+        while i < s.hi {
+            if !(toks[i].is_punct("[") && is_index_position(&toks[i - 1])) {
                 i += 1;
-            }
-        }
-    }
-
-    /// Secret-dependent indexing: a live secret inside a postfix
-    /// `[...]` addresses memory by secret value (cache-line oracle).
-    /// Indexing *into* a secret buffer with a public index is fine.
-    fn check_indexing(&self, file: &SourceFile, flow: &FileFlow, findings: &mut Vec<Finding>) {
-        let toks = &file.tokens;
-        for (stmt, env) in &flow.states {
-            let (lo, hi) = (stmt.lo, stmt.hi);
-            let mut i = lo + 1;
-            while i < hi {
-                if !(toks[i].is_punct("[") && is_index_position(&toks[i - 1])) {
-                    i += 1;
-                    continue;
-                }
-                let Some(close) = matching(toks, i, "[", "]") else {
-                    break;
-                };
-                for j in i + 1..close.min(hi) {
-                    if !is_local_use(toks, j) || file.in_test_code(toks[j].line) {
-                        continue;
-                    }
-                    let name = &toks[j].text;
-                    let effective = match env.0.get(name) {
-                        Some(Sec::Secret) => true,
-                        Some(Sec::Clean) => false,
-                        None => super::is_secret_ident(name),
-                    };
-                    if effective && !postfix_projects_public(toks, j, PUBLIC_PROJECTIONS) {
-                        findings.push(Finding::deny(
-                            toks[j].line,
-                            format!(
-                                "indexing with secret-dependent value `{}` addresses memory \
-                                 by secret; the cache line it touches is observable — scan \
-                                 all entries and pick with `utp_crypto::ct::ct_select`",
-                                name
-                            ),
-                        ));
-                        break;
-                    }
-                }
-                i = close + 1;
-            }
-        }
-    }
-
-    fn check_loop_returns(&self, file: &SourceFile, findings: &mut Vec<Finding>) {
-        let tokens = &file.tokens;
-        for (i, t) in tokens.iter().enumerate() {
-            if t.kind != TokenKind::Ident
-                || !matches!(t.text.as_str(), "for" | "while" | "loop")
-                || file.in_test_code(t.line)
-            {
                 continue;
             }
-            // Header = tokens between the keyword and the body's `{`.
-            let Some(body_open) = tokens[i..].iter().position(|t| t.is_punct("{")) else {
-                continue;
+            let Some(end) = matching(toks, i, "[", "]") else {
+                break;
             };
-            let body_open = i + body_open;
-            let header_secret = tokens[i + 1..body_open]
-                .iter()
-                .any(|t| t.kind == TokenKind::Ident && super::is_secret_ident(&t.text));
-            if !header_secret {
+            if let Some(j) = first_secret(toks, env, (i + 1, end.min(s.hi)), false) {
+                out.push((
+                    toks[j].line,
+                    format!(
+                        "indexing with secret-dependent value `{}` addresses memory \
+                         by secret; the cache line it touches is observable — scan \
+                         all entries and pick with `utp_crypto::ct::ct_select`",
+                        toks[j].text
+                    ),
+                ));
+            }
+            i = end + 1;
+        }
+    }
+    // An early `return` inside a loop whose header names a secret makes
+    // the iteration count observable.
+    for i in open..close {
+        if !["for", "while", "loop"].iter().any(|k| toks[i].is_ident(k)) {
+            continue;
+        }
+        let Some(body) = (i..close).find(|&j| toks[j].is_punct("{")) else {
+            continue;
+        };
+        if !(toks[i + 1..body].iter())
+            .any(|t| t.kind == TokenKind::Ident && super::is_secret_ident(&t.text))
+        {
+            continue;
+        }
+        let end = matching(toks, body, "{", "}").unwrap_or(toks.len());
+        for rt in toks[body..end].iter().filter(|t| t.is_ident("return")) {
+            out.push((
+                rt.line,
+                "early `return` inside a loop over secret-named data makes \
+                 the iteration count observable; accumulate a flag and \
+                 decide after the loop (see `utp_crypto::ct`)"
+                    .to_string(),
+            ));
+        }
+    }
+    out
+}
+
+/// The first local in `lo..hi` that is secret under `env` and not
+/// projected public; with `skip_ct`, arguments of `ct_eq`/`ct_select`
+/// (the approved destination for secrets) do not count.
+fn first_secret(
+    toks: &[Token],
+    env: &Env,
+    (lo, hi): (usize, usize),
+    skip_ct: bool,
+) -> Option<usize> {
+    let mut i = lo;
+    while i < hi {
+        if skip_ct && CT_FNS.contains(&toks[i].text.as_str()) && is_call(toks, i) {
+            if let Some(close) = matching(toks, i + 1, "(", ")") {
+                i = close + 1;
                 continue;
             }
-            let close = matching(tokens, body_open, "{", "}").unwrap_or(tokens.len());
-            for rt in &tokens[body_open..close.min(tokens.len())] {
-                if rt.is_ident("return") {
-                    findings.push(Finding::deny(
-                        rt.line,
-                        "early `return` inside a loop over secret-named data makes \
-                                  the iteration count observable; accumulate a flag and \
-                                  decide after the loop (see `utp_crypto::ct`)"
-                            .to_string(),
-                    ));
-                }
-            }
         }
+        if is_local_use(toks, i)
+            && TABLE.value(Some(env), &toks[i].text) == Taint::Tainted
+            && !postfix_projects_public(toks, i, PUBLIC_PROJECTIONS)
+        {
+            return Some(i);
+        }
+        i += 1;
     }
-}
-
-enum Direction {
-    Left,
-    Right,
-}
-
-/// Collects the identifiers of the operand expression adjacent to the
-/// comparison at `idx`, walking over member access / calls / indexing.
-fn operand_idents(tokens: &[Token], idx: usize, dir: Direction) -> Vec<String> {
-    let mut idents = Vec::new();
-    let mut steps = 0;
-    let mut j = idx;
-    loop {
-        let next = match dir {
-            Direction::Left => j.checked_sub(1),
-            Direction::Right => Some(j + 1),
-        };
-        let Some(next) = next else { break };
-        let Some(t) = tokens.get(next) else { break };
-        steps += 1;
-        if steps > 10 {
-            break;
-        }
-        let continues = match t.kind {
-            TokenKind::Ident => {
-                idents.push(t.text.clone());
-                true
-            }
-            TokenKind::Number | TokenKind::Char | TokenKind::Str => true,
-            TokenKind::Punct => matches!(
-                t.text.as_str(),
-                "." | "::" | "(" | ")" | "[" | "]" | "&" | "*"
-            ),
-            _ => false,
-        };
-        if !continues {
-            break;
-        }
-        j = next;
-    }
-    idents
+    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::SourceFile;
 
     fn run(src: &str) -> Vec<Finding> {
         let file = SourceFile::parse("crates/crypto/src/fixture.rs", src);
-        CtDiscipline.check(&file)
+        let ws = WorkspaceIndex::build(vec![file]);
+        CtDiscipline
+            .check_workspace(&ws)
+            .into_iter()
+            .map(|(_, f)| f)
+            .collect()
     }
 
     #[test]

@@ -1,30 +1,96 @@
 //! Helpers shared by the flow-sensitive passes: the must-held bit-set
-//! walk behind authorization-flow and protocol-order, statement shapes
-//! (`let` / reassignment), local-use detection, and postfix chains.
+//! walk behind authorization-flow and protocol-order, the splitter of an
+//! `if`/`match` inside one statement, statement shapes (`let` /
+//! reassignment), local-use detection, and postfix chains.
 
 use crate::cfg::{build_cfg, Stmt};
-use crate::dataflow::{solve, Lattice};
+use crate::dataflow::{replay, Lattice};
 use crate::graph::WorkspaceIndex;
-use crate::items::{find_depth0, CallSite, FnItem};
+use crate::items::{find_depth0, matching, CallSite, FnItem};
 use crate::lexer::{Token, TokenKind};
 
 /// Call sites of `item` inside the statement's token range, with their
 /// index into `item.calls` (and so into the fn's resolutions).
 pub fn calls_in<'a>(item: &'a FnItem, s: &Stmt) -> impl Iterator<Item = (usize, &'a CallSite)> {
     let (lo, hi) = (s.lo, s.hi);
-    item.calls
-        .iter()
-        .enumerate()
-        .filter(move |(_, c)| lo <= c.tok && c.tok < hi)
+    let from = item.calls.partition_point(|c| c.tok < lo);
+    (item.calls[from..].iter().enumerate())
+        .map(move |(k, c)| (from + k, c))
+        .take_while(move |(_, c)| c.tok < hi)
+}
+
+/// An `if`/`else` chain or a `match` inside one statement. The
+/// statement CFG does not split control flow inside a statement, so the
+/// passes that must not let one arm speak for another split it here.
+pub struct Branch {
+    /// The condition or scrutinee.
+    pub cond: (usize, usize),
+    /// The arm bodies, in order; an `else if` arm is the nested `if`.
+    pub arms: Vec<(usize, usize)>,
+    /// Does one arm always run (an `if` with an `else`, or a `match`)?
+    pub total: bool,
+    /// The index past the construct.
+    pub end: usize,
+}
+
+/// The `if`/`match` construct starting at `j`, if one does; `None` too
+/// when its braces do not close inside `..hi`.
+pub fn branch_at(toks: &[Token], j: usize, hi: usize) -> Option<Branch> {
+    if !(toks[j].is_ident("if") || toks[j].is_ident("match")) {
+        return None;
+    }
+    let open = find_depth0(toks, j + 1, hi, |t| t.is_punct("{"))?;
+    let close = matching(toks, open, "{", "}").filter(|&c| c < hi)?;
+    let cond = (j + 1, open);
+    if toks[j].is_ident("match") {
+        let mut arms = Vec::new();
+        let mut k = open + 1;
+        while let Some(arrow) = find_depth0(toks, k, close, |t| t.is_punct("=>")) {
+            let start = arrow + 1;
+            let end = if toks.get(start).is_some_and(|t| t.is_punct("{")) {
+                matching(toks, start, "{", "}")? + 1
+            } else {
+                find_depth0(toks, start, close, |t| t.is_punct(",")).unwrap_or(close)
+            };
+            arms.push((start, end));
+            k = end + usize::from(toks.get(end).is_some_and(|t| t.is_punct(",")));
+        }
+        return Some(Branch {
+            cond,
+            arms,
+            total: true,
+            end: close + 1,
+        });
+    }
+    let then = (open + 1, close);
+    if !toks.get(close + 1).is_some_and(|t| t.is_ident("else")) || close + 2 >= hi {
+        return Some(Branch {
+            cond,
+            arms: vec![then],
+            total: false,
+            end: close + 1,
+        });
+    }
+    let (other, end) = if toks[close + 2].is_ident("if") {
+        let end = branch_at(toks, close + 2, hi)?.end;
+        ((close + 2, end), end)
+    } else {
+        let eclose = matching(toks, close + 2, "{", "}")?;
+        ((close + 3, eclose), eclose + 1)
+    };
+    Some(Branch {
+        cond,
+        arms: vec![then, other],
+        total: true,
+        end,
+    })
 }
 
 /// Bits the tokens `lo..hi` of one statement set on every path through
 /// them. `leaf(j, head)` gives token `j`'s own bits (`head`: inside a
-/// branch condition); the arms of an embedded `if`/`else` or `match`
-/// add only what all of them set, and an `if` without `else` only its
-/// condition. The statement CFG does not split control flow inside a
-/// statement, so this keeps `let x = match .. { .. }` from granting what
-/// only one arm does.
+/// branch condition); the arms of an embedded [`Branch`] add only what
+/// all of them set, and an `if` without `else` only its condition. This
+/// keeps `let x = match .. { .. }` from granting what only one arm does.
 pub fn must_bits(
     toks: &[Token],
     lo: usize,
@@ -35,60 +101,19 @@ pub fn must_bits(
     let mut held = 0;
     let mut j = lo;
     while j < hi {
-        if toks[j].is_ident("if") || toks[j].is_ident("match") {
-            if let Some((bits, end)) = branch_bits(toks, j, hi, leaf) {
-                held |= bits;
-                j = end;
-                continue;
+        if let Some(b) = branch_at(toks, j, hi) {
+            held |= must_bits(toks, b.cond.0, b.cond.1, true, leaf);
+            if b.total {
+                let arms = (b.arms.iter()).map(|&(lo, hi)| must_bits(toks, lo, hi, false, leaf));
+                held |= arms.reduce(|a, b| a & b).unwrap_or(0);
             }
+            j = b.end;
+            continue;
         }
         held |= leaf(j, head);
         j += 1;
     }
     held
-}
-
-/// [`must_bits`] of the `if`/`match` construct at `j`, and the index
-/// past it; `None` when its braces do not close inside `..hi`.
-fn branch_bits(
-    toks: &[Token],
-    j: usize,
-    hi: usize,
-    leaf: &dyn Fn(usize, bool) -> u32,
-) -> Option<(u32, usize)> {
-    let open = find_depth0(toks, j + 1, hi, |t| t.is_punct("{"))?;
-    let close = crate::items::matching(toks, open, "{", "}").filter(|&c| c < hi)?;
-    let cond = must_bits(toks, j + 1, open, true, leaf);
-    let body = |lo, hi| must_bits(toks, lo, hi, false, leaf);
-    if toks[j].is_ident("match") {
-        let mut arms = Vec::new();
-        let mut k = open + 1;
-        while let Some(arrow) = find_depth0(toks, k, close, |t| t.is_punct("=>")) {
-            let start = arrow + 1;
-            let end = if toks.get(start).is_some_and(|t| t.is_punct("{")) {
-                crate::items::matching(toks, start, "{", "}")? + 1
-            } else {
-                find_depth0(toks, start, close, |t| t.is_punct(",")).unwrap_or(close)
-            };
-            arms.push(body(start, end));
-            k = end + usize::from(toks.get(end).is_some_and(|t| t.is_punct(",")));
-        }
-        return Some((
-            cond | arms.into_iter().reduce(|a, b| a & b).unwrap_or(0),
-            close + 1,
-        ));
-    }
-    let then = body(open + 1, close);
-    if !toks.get(close + 1).is_some_and(|t| t.is_ident("else")) || close + 2 >= hi {
-        return Some((cond, close + 1));
-    }
-    let (other, end) = if toks[close + 2].is_ident("if") {
-        branch_bits(toks, close + 2, hi, leaf)?
-    } else {
-        let eclose = crate::items::matching(toks, close + 2, "{", "}")?;
-        (body(close + 3, eclose), eclose + 1)
-    };
-    Some((cond | (then & other), end))
 }
 
 /// Facts that hold on every path; the join is intersection.
@@ -122,16 +147,17 @@ pub fn must_walk(
         return 0;
     };
     let cfg = build_cfg(toks, body);
-    let entries = solve(&cfg, Must(0), |s, st| transfer(s, &mut st.0));
+    let exits = replay(
+        &cfg,
+        Must(0),
+        |s, st| transfer(s, &mut st.0),
+        |s, st| visit(s, st.0),
+    );
     let mut exit: Option<u32> = None;
-    for (bi, block) in cfg.blocks.iter().enumerate() {
-        let Some(Must(mut st)) = entries[bi] else {
+    for (bi, (block, st)) in cfg.blocks.iter().zip(exits).enumerate() {
+        let Some(Must(st)) = st else {
             continue;
         };
-        for s in &block.stmts {
-            visit(s, st);
-            transfer(s, &mut st);
-        }
         let returns_ok = block.stmts.iter().any(|s| {
             (s.lo..s.hi).any(|j| {
                 toks[j].is_ident("return") && !toks.get(j + 1).is_some_and(|t| t.is_ident("Err"))
@@ -234,12 +260,12 @@ pub fn postfix_projects_public(toks: &[Token], i: usize, public: &[&str]) -> boo
             }
             j += 2;
         } else if toks[j].is_punct("(") {
-            match crate::items::matching(toks, j, "(", ")") {
+            match matching(toks, j, "(", ")") {
                 Some(c) => j = c + 1,
                 None => return false,
             }
         } else if toks[j].is_punct("[") {
-            match crate::items::matching(toks, j, "[", "]") {
+            match matching(toks, j, "[", "]") {
                 Some(c) => j = c + 1,
                 None => return false,
             }

@@ -105,18 +105,18 @@ const SECRET_WORDS: &[&str] = &[
 
 /// Does this identifier name secret material (component-wise match, so
 /// `session_key` and `auth_digest` hit but `machine` does not)?
-/// SCREAMING_CASE identifiers are exempt: constants like `DIGEST_LEN`
-/// are public protocol parameters, not secret bindings.
 pub fn is_secret_ident(ident: &str) -> bool {
-    if ident
+    name_has(ident, SECRET_WORDS)
+}
+
+/// Does any `_`-separated component of `ident`, case-folded, appear in
+/// `words`? SCREAMING_CASE identifiers never match: constants like
+/// `DIGEST_LEN` are public protocol parameters, not secret bindings.
+pub fn name_has(ident: &str, words: &[&str]) -> bool {
+    !ident
         .chars()
         .all(|c| c.is_ascii_uppercase() || c == '_' || c.is_ascii_digit())
-    {
-        return false;
-    }
-    ident
-        .split('_')
-        .any(|component| SECRET_WORDS.contains(&component.to_ascii_lowercase().as_str()))
+        && (ident.split('_')).any(|c| words.contains(&c.to_ascii_lowercase().as_str()))
 }
 
 #[cfg(test)]

@@ -6,16 +6,19 @@
 //! a lying length field is exactly a value that flows from
 //! `from_le_bytes` / `Reader::u32` / `Reader::take` into `pos + len` or
 //! `&buf[start..start + len]` with no dominating comparison. The pass
-//! runs the flow engine per function:
+//! reads the shared engine ([`crate::taint`]) with this lint's table:
 //!
 //! * **Sources** (→ `Tainted`): locals bound from decode calls
-//!   (`u16`/`u32`/`u64`/`bytes`/`take`, `from_le_bytes`/`from_be_bytes`).
+//!   (`u16`/`u32`/`u64`/`bytes`/`take`, `from_le_bytes`/`from_be_bytes`),
+//!   and from calls that may reach a fn returning such a value, so a
+//!   length decoded in a helper fn stays visible to its callers.
 //! * **Checks** (`Tainted` → `Checked`): mention in an `if`/`while`/
 //!   `match` condition, a comparison in a normal statement, or a
 //!   bounding call (`min`, `clamp`, `try_into`/`try_from`,
 //!   `checked_*`, `saturating_*`). Arithmetic *over already-checked
 //!   values stays checked* — `pos += HEADER_LEN + len` after both were
-//!   compared does not re-taint the cursor.
+//!   compared does not re-taint the cursor. A check inside one arm of
+//!   an `if`/`match` on the right of a `let` bounds that arm only.
 //! * **Sinks** (on `Tainted` only, in non-condition statements):
 //!   adjacency to `+`/`-`/`*`, use inside postfix `[...]` indexing, and
 //!   `as` casts to a narrower integer type (`usize`/`u64`/`i64` are
@@ -29,12 +32,12 @@
 //! function whose body falls back to the single-block CFG is skipped
 //! rather than flooded with unordered findings.
 
-use crate::cfg::{build_cfg, Role, Stmt};
-use crate::dataflow::{solve, JoinMap, Lattice};
+use crate::cfg::{Role, Stmt};
+use crate::graph::WorkspaceIndex;
 use crate::lexer::{Token, TokenKind};
-use crate::passes::flow::{binding_of, is_index_position, is_local_use};
+use crate::passes::flow::{is_index_position, is_local_use};
 use crate::passes::{Finding, Pass};
-use crate::source::SourceFile;
+use crate::taint::{is_call, Engine, Env, Table, Taint};
 
 /// Files that parse attacker-controlled bytes: the journal (WAL replay,
 /// snapshot decode), the wire codec, and the protocol layer.
@@ -58,28 +61,25 @@ const CHECK_FNS: &[&str] = &["min", "clamp", "try_into", "try_from"];
 /// Integer types an `as` cast can truncate into.
 const NARROW_TYPES: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Ua {
-    /// Not attacker-controlled (or already consumed by a check).
-    Clean,
-    /// Attacker-controlled but dominated by a bounds comparison.
-    Checked,
-    /// Attacker-controlled, unchecked.
-    Tainted,
-}
-
-impl Lattice for Ua {
-    fn join_from(&mut self, other: &Self) -> bool {
-        if *other > *self {
-            *self = *other;
-            true
-        } else {
-            false
-        }
-    }
-}
-
-type Env = JoinMap<Ua>;
+/// What untrusted-arith tracks: decoded integers, bounded by a
+/// comparison or a bounding call.
+const TABLE: Table = Table {
+    scope: in_scope,
+    named: |_| false,
+    source: |name| SOURCE_FNS.contains(&name),
+    sanitizer: |toks, j| {
+        is_comparison(&toks[j])
+            || is_call(toks, j)
+                && (CHECK_FNS.contains(&toks[j].text.as_str())
+                    || toks[j].text.starts_with("checked_")
+                    || toks[j].text.starts_with("saturating_"))
+    },
+    checks: true,
+    opaque_calls: false,
+    public: &[],
+    public_fn: |_| false,
+    kills: &[],
+};
 
 pub struct UntrustedArith;
 
@@ -93,32 +93,22 @@ impl Pass for UntrustedArith {
          arithmetic, indexing, or narrowing casts"
     }
 
-    fn check(&self, file: &SourceFile) -> Vec<Finding> {
-        if !in_scope(&file.path) {
-            return Vec::new();
-        }
-        let mut findings = Vec::new();
-        for f in &file.items.fns {
-            let Some(body) = f.body else { continue };
-            let toks = &file.tokens;
-            if file.in_test_code(f.start_line) {
+    fn check_workspace(&self, ws: &WorkspaceIndex) -> Vec<(usize, Finding)> {
+        let engine = Engine::run(ws, &TABLE, vec![false; ws.fns.len()]);
+        let mut out = Vec::new();
+        for idx in 0..ws.fns.len() {
+            let fi = ws.fns[idx].file;
+            if !ws.is_live_fn(idx) || !in_scope(&ws.files[fi].path) {
                 continue;
             }
-            let cfg = build_cfg(toks, body);
-            if cfg.fallback {
-                continue; // no statement order to reason about
+            let flow = engine.flow(idx);
+            let mut findings = Vec::new();
+            for (s, env) in &flow.states {
+                check_sinks(&ws.files[fi].tokens, s, env, &mut findings);
             }
-            let entries = solve(&cfg, Env::default(), |s, env| transfer(toks, s, env));
-            for (bi, block) in cfg.blocks.iter().enumerate() {
-                let Some(entry) = &entries[bi] else { continue };
-                let mut env = entry.clone();
-                for s in &block.stmts {
-                    check_sinks(toks, s, &env, &mut findings);
-                    transfer(toks, s, &mut env);
-                }
-            }
+            out.extend(findings.into_iter().map(|f| (fi, f)));
         }
-        findings
+        out
     }
 }
 
@@ -126,189 +116,92 @@ fn in_scope(path: &str) -> bool {
     SCOPE.iter().any(|p| path.starts_with(p)) || SCOPE_FILES.contains(&path)
 }
 
-fn has_source_call(toks: &[Token], lo: usize, hi: usize) -> bool {
-    (lo..hi.saturating_sub(1)).any(|i| {
-        toks[i].kind == TokenKind::Ident
-            && toks[i + 1].is_punct("(")
-            && SOURCE_FNS.contains(&toks[i].text.as_str())
-    })
-}
-
-fn has_check_call(toks: &[Token], lo: usize, hi: usize) -> bool {
-    (lo..hi.saturating_sub(1)).any(|i| {
-        toks[i].kind == TokenKind::Ident
-            && toks[i + 1].is_punct("(")
-            && (CHECK_FNS.contains(&toks[i].text.as_str())
-                || toks[i].text.starts_with("checked_")
-                || toks[i].text.starts_with("saturating_"))
-    })
-}
-
-/// Any comparison operator in the range (`<=`/`>=` lex as `<`/`>`
-/// followed by `=`).
-fn has_comparison(toks: &[Token], lo: usize, hi: usize) -> bool {
-    toks[lo..hi]
-        .iter()
-        .any(|t| t.is_punct("<") || t.is_punct(">") || t.is_punct("==") || t.is_punct("!="))
-}
-
-/// Taint of an expression range under `env`.
-fn eval(toks: &[Token], lo: usize, hi: usize, env: &Env) -> Ua {
-    if has_source_call(toks, lo, hi) {
-        return Ua::Tainted;
-    }
-    let mut out = Ua::Clean;
-    for i in lo..hi {
-        if is_local_use(toks, i) {
-            if let Some(&v) = env.0.get(&toks[i].text) {
-                if v > out {
-                    out = v;
-                }
-            }
-        }
-    }
-    // A comparison or bounding call consumes the taint: the bound
-    // value is a bool / clamped quantity.
-    if out == Ua::Tainted && (has_comparison(toks, lo, hi) || has_check_call(toks, lo, hi)) {
-        return Ua::Checked;
-    }
-    out
-}
-
-fn transfer(toks: &[Token], s: &Stmt, env: &mut Env) {
-    // Mention in a condition is the bounds check.
-    if s.role != Role::Normal {
-        for i in s.lo..s.hi {
-            if is_local_use(toks, i) {
-                if let Some(v) = env.0.get_mut(&toks[i].text) {
-                    if *v == Ua::Tainted {
-                        *v = Ua::Checked;
-                    }
-                }
-            }
-        }
-        return;
-    }
-    let checked_stmt = has_comparison(toks, s.lo, s.hi) || has_check_call(toks, s.lo, s.hi);
-    if let Some((name, rhs_lo, compound)) = binding_of(toks, s) {
-        let mut v = eval(toks, rhs_lo, s.hi, env);
-        if compound {
-            if let Some(&old) = env.0.get(&name) {
-                if old > v {
-                    v = old;
-                }
-            }
-        }
-        env.0.insert(name, v);
-    }
-    if checked_stmt {
-        // `assert!(len <= max)` / `let ok = len < cap;` style: every
-        // tainted local the comparison mentions is now bounded.
-        for i in s.lo..s.hi {
-            if is_local_use(toks, i) {
-                if let Some(v) = env.0.get_mut(&toks[i].text) {
-                    if *v == Ua::Tainted {
-                        *v = Ua::Checked;
-                    }
-                }
-            }
-        }
-    }
+/// A comparison operator (`<=`/`>=` lex as `<`/`>` followed by `=`).
+fn is_comparison(t: &Token) -> bool {
+    t.is_punct("<") || t.is_punct(">") || t.is_punct("==") || t.is_punct("!=")
 }
 
 fn check_sinks(toks: &[Token], s: &Stmt, env: &Env, out: &mut Vec<Finding>) {
-    if s.role != Role::Normal {
-        return; // arithmetic inside the condition IS the check idiom
-    }
-    // When this statement performs the comparison itself, its uses are
-    // the check, not a sink.
-    if has_comparison(toks, s.lo, s.hi) && !has_index_sink_shape(toks, s) {
+    let is_index = |i: usize| i > s.lo && toks[i].is_punct("[") && is_index_position(&toks[i - 1]);
+    // Arithmetic inside a condition, or in a statement that compares
+    // and does not index, *is* the check idiom.
+    if s.role != Role::Normal
+        || toks[s.lo..s.hi].iter().any(is_comparison) && !(s.lo..s.hi).any(is_index)
+    {
         return;
     }
     let mut index_depth = 0usize;
     for i in s.lo..s.hi {
         let t = &toks[i];
-        if t.is_punct("[") && i > s.lo && is_index_position(&toks[i - 1]) {
+        if is_index(i) {
             index_depth += 1;
         } else if t.is_punct("]") && index_depth > 0 {
             index_depth -= 1;
         }
-        if !is_local_use(toks, i) || env.0.get(&t.text) != Some(&Ua::Tainted) {
+        if !is_local_use(toks, i) || TABLE.value(Some(env), &t.text) != Taint::Tainted {
             continue;
         }
-        let line = t.line;
         // `op ident` counts only when the op is *binary* (something
         // that can end an operand precedes it) — `*request` is a deref
         // and `-1` a negation, not arithmetic on the value.
+        let arith = |k: usize| {
+            let t = toks.get(k)?;
+            ["+", "-", "*"].into_iter().find(|op| t.is_punct(op))
+        };
         let prev_binary = i.checked_sub(2).and_then(|j| {
-            let op = ["+", "-", "*"]
-                .into_iter()
-                .find(|op| toks[j + 1].is_punct(op))?;
             let ender = &toks[j];
             (matches!(ender.kind, TokenKind::Ident | TokenKind::Number)
                 || ender.is_punct(")")
                 || ender.is_punct("]"))
-            .then_some(op)
+            .then(|| arith(j + 1))?
         });
-        let next_op = toks
-            .get(i + 1)
-            .and_then(|n| ["+", "-", "*"].into_iter().find(|op| n.is_punct(op)));
-        let arith_op = prev_binary.or(next_op);
-        if let Some(op) = arith_op {
-            out.push(Finding::deny(
-                line,
-                format!(
-                    "`{}` comes from untrusted bytes and feeds `{}` before any bounds \
-                     check; compare it against the available length (or use checked_* \
-                     arithmetic) first",
-                    t.text, op
-                ),
-            ));
+        let narrow = (toks.get(i + 1).is_some_and(|n| n.is_ident("as")))
+            .then(|| {
+                toks.get(i + 2)
+                    .filter(|ty| NARROW_TYPES.contains(&ty.text.as_str()))
+            })
+            .flatten();
+        let what = if let Some(op) = prev_binary.or_else(|| arith(i + 1)) {
+            format!(
+                "feeds `{op}` before any bounds check; compare it against the available \
+                 length (or use checked_* arithmetic) first"
+            )
+        } else if let Some(ty) = narrow {
+            format!(
+                "is narrowed with `as {}` before any range check; a lying length survives \
+                 the truncation — validate the range (or use try_into) first",
+                ty.text
+            )
+        } else if index_depth > 0 {
+            "is used as a slice index/offset before any bounds check; verify it against the \
+             buffer length first"
+                .to_string()
+        } else {
             continue;
-        }
-        if toks.get(i + 1).is_some_and(|n| n.is_ident("as"))
-            && toks
-                .get(i + 2)
-                .is_some_and(|ty| NARROW_TYPES.contains(&ty.text.as_str()))
-        {
-            out.push(Finding::deny(
-                line,
-                format!(
-                    "`{}` comes from untrusted bytes and is narrowed with `as {}` before \
-                     any range check; a lying length survives the truncation — validate \
-                     the range (or use try_into) first",
-                    t.text,
-                    toks[i + 2].text
-                ),
-            ));
-            continue;
-        }
-        if index_depth > 0 {
-            out.push(Finding::deny(
-                line,
-                format!(
-                    "`{}` comes from untrusted bytes and is used as a slice index/offset \
-                     before any bounds check; verify it against the buffer length first",
-                    t.text
-                ),
-            ));
-        }
+        };
+        out.push(Finding::deny(
+            t.line,
+            format!("`{}` comes from untrusted bytes and {what}", t.text),
+        ));
     }
-}
-
-/// Whether the statement contains postfix indexing at all (used to keep
-/// the index sink active even in statements that also compare).
-fn has_index_sink_shape(toks: &[Token], s: &Stmt) -> bool {
-    (s.lo + 1..s.hi).any(|i| toks[i].is_punct("[") && is_index_position(&toks[i - 1]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::SourceFile;
+
+    fn run_at(path: &str, src: &str) -> Vec<Finding> {
+        let ws = WorkspaceIndex::build(vec![SourceFile::parse(path, src)]);
+        UntrustedArith
+            .check_workspace(&ws)
+            .into_iter()
+            .map(|(_, f)| f)
+            .collect()
+    }
 
     fn run(src: &str) -> Vec<Finding> {
-        let file = SourceFile::parse("crates/journal/src/fixture.rs", src);
-        UntrustedArith.check(&file)
+        run_at("crates/journal/src/fixture.rs", src)
     }
 
     #[test]
@@ -383,11 +276,11 @@ mod tests {
 
     #[test]
     fn out_of_scope_files_are_ignored() {
-        let file = SourceFile::parse(
+        assert!(run_at(
             "crates/server/src/service.rs",
             "fn f(r: &mut Reader) -> u64 { let n = r.u64().unwrap(); n + 1 }\n",
-        );
-        assert!(UntrustedArith.check(&file).is_empty());
+        )
+        .is_empty());
     }
 
     #[test]

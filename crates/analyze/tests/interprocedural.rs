@@ -336,6 +336,84 @@ fn secret_taint_flow_tracks_reassignment_zeroize_and_return_taint() {
     );
 }
 
+/// A sealing call in one arm of a `let`'s `if` cleans that arm only.
+#[test]
+fn taint_joins_the_arms_of_an_if_on_the_right_of_a_let() {
+    let analysis = analyze(&[("crates/tpm/src/arm_leak.rs", "taint/arm_leak.rs")]);
+    assert_diags(
+        &analysis,
+        &[(
+            "crates/tpm/src/arm_leak.rs",
+            6,
+            "secret-taint",
+            "secret `out` flows into `println!` in `export_key`",
+        )],
+    );
+}
+
+/// A `;`-terminated statement is not a return position, whatever it
+/// binds.
+#[test]
+fn taint_return_positions_are_tails_and_returns_only() {
+    let analysis = analyze(&[("crates/tpm/src/plain_return.rs", "taint/plain_return.rs")]);
+    assert_diags(&analysis, &[]);
+}
+
+/// The return summary runs to convergence, not a fixed number of rounds.
+#[test]
+fn taint_return_summary_converges_through_a_depth_four_chain() {
+    let analysis = analyze(&[("crates/tpm/src/chain_leak.rs", "taint/chain_leak.rs")]);
+    assert_diags(
+        &analysis,
+        &[
+            (
+                "crates/tpm/src/chain_leak.rs",
+                6,
+                "secret-taint",
+                "secret `x` flows into `println!` in `log_f3`",
+            ),
+            (
+                "crates/tpm/src/chain_leak.rs",
+                11,
+                "secret-taint",
+                "secret `x` flows into `println!` in `log_f4`",
+            ),
+        ],
+    );
+}
+
+/// untrusted-arith reads the return summary: a length decoded in a
+/// helper stays untrusted in its caller.
+#[test]
+fn untrusted_arith_follows_a_length_through_a_helper_fn() {
+    let analysis = analyze(&[("crates/journal/src/len_helper.rs", "taint/len_helper.rs")]);
+    assert_diags(
+        &analysis,
+        &[(
+            "crates/journal/src/len_helper.rs",
+            11,
+            "untrusted-arith",
+            "`n` comes from untrusted bytes and feeds `+`",
+        )],
+    );
+}
+
+/// ct-discipline reads the return summary: a secret limb returned by a
+/// helper stays secret in its caller.
+#[test]
+fn ct_discipline_follows_a_secret_through_a_helper_fn() {
+    let analysis = analyze(&[("crates/crypto/src/ct_helper.rs", "taint/ct_helper.rs")]);
+    assert_diags(
+        &analysis,
+        &[(
+            "crates/crypto/src/ct_helper.rs",
+            10,
+            "ct-discipline",
+            "branching on secret-dependent value `t`",
+        )],
+    );
+}
+
 #[test]
 fn lock_discipline_flags_blocking_cycle_and_reentrancy() {
     let analysis = analyze(&[("crates/server/src/svc.rs", "locks/svc.rs")]);
