@@ -39,10 +39,11 @@ const PUBLIC_PROJECTIONS: &[&str] = &[
     "len", "is_empty", "count", "capacity", "is_some", "is_none", "is_ok", "is_err",
 ];
 
-/// Constant-time comparators: their *results* are public (branching on
-/// `ct_eq(..)` is the approved pattern), and their arguments are where
-/// secrets are supposed to go.
-const CT_FNS: &[&str] = &["ct_eq", "ct_select"];
+/// The constant-time comparator: its *result* is public (branching on
+/// `ct_eq(..)` is the approved pattern), so a branch condition may pass
+/// it secrets. `ct_select(choice, ..)` is not exempt: its result is
+/// the value the secret `choice` picked.
+const CT_EQ: &str = "ct_eq";
 
 /// The `ct-discipline` pass.
 pub struct CtDiscipline;
@@ -211,17 +212,17 @@ fn check_fn(toks: &[Token], (open, close): (usize, usize), flow: &FnFlow) -> Vec
 }
 
 /// The first local in `lo..hi` that is secret under `env` and not
-/// projected public; with `skip_ct`, arguments of `ct_eq`/`ct_select`
-/// (the approved destination for secrets) do not count.
+/// projected public; with `skip_ct_eq`, arguments of `ct_eq` (whose
+/// result a branch may read) do not count.
 fn first_secret(
     toks: &[Token],
     env: &Env,
     (lo, hi): (usize, usize),
-    skip_ct: bool,
+    skip_ct_eq: bool,
 ) -> Option<usize> {
     let mut i = lo;
     while i < hi {
-        if skip_ct && CT_FNS.contains(&toks[i].text.as_str()) && is_call(toks, i) {
+        if skip_ct_eq && toks[i].is_ident(CT_EQ) && is_call(toks, i) {
             if let Some(close) = matching(toks, i + 1, "(", ")") {
                 i = close + 1;
                 continue;

@@ -50,6 +50,7 @@ use std::collections::BTreeSet;
 use crate::graph::WorkspaceIndex;
 use crate::items::{CallSite, FieldItem, FnItem, StructItem};
 use crate::lexer::TokenKind;
+use crate::passes::flow::postfix_projects_public;
 use crate::passes::{name_has, Finding, Pass};
 use crate::source::SourceFile;
 use crate::taint::{is_call, Engine, FnFlow, Table};
@@ -445,8 +446,10 @@ fn check_fn_sinks(
 
 /// The first secret value in the token range `lo..hi`: a tainted ident
 /// that is not a path qualifier (`keys::OP`, `JournalRecord::Settle`
-/// name a key, a record shape or a constant, not a value), or, with
-/// `captures`, a tainted `{name}` inline capture in a format string.
+/// name a key, a record shape or a constant, not a value) and whose
+/// postfix chain does not project it public (`session_key.len()`, as
+/// the engine's classifier reads it), or, with `captures`, a tainted
+/// `{name}` inline capture in a format string.
 fn first_secret(
     file: &SourceFile,
     flow: &FnFlow,
@@ -458,7 +461,8 @@ fn first_secret(
         let t = &toks[j];
         match t.kind {
             TokenKind::Ident => (!toks.get(j + 1).is_some_and(|n| n.is_punct("::"))
-                && flow.tainted_at(&t.text, j))
+                && flow.tainted_at(&t.text, j)
+                && !postfix_projects_public(toks, j, PUBLIC_PROJECTIONS))
             .then(|| t.text.clone()),
             TokenKind::Str if captures => (t
                 .text

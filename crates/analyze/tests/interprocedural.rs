@@ -414,6 +414,51 @@ fn ct_discipline_follows_a_secret_through_a_helper_fn() {
     );
 }
 
+/// ct-discipline exempts only `ct_eq` in a branch condition: a
+/// `ct_select` result is the value its secret choice picked.
+#[test]
+fn ct_discipline_denies_a_branch_on_a_ct_select_result() {
+    let analysis = analyze(&[(
+        "crates/crypto/src/ct_select_branch.rs",
+        "taint/ct_select_branch.rs",
+    )]);
+    assert_diags(
+        &analysis,
+        &[(
+            "crates/crypto/src/ct_select_branch.rs",
+            6,
+            "ct-discipline",
+            "branching on secret-dependent value `key_bit`",
+        )],
+    );
+}
+
+/// secret-taint's print rule reads a public projection as the engine's
+/// classifier does: a key's length prints clean, the key does not.
+#[test]
+fn taint_print_of_a_secret_length_is_clean() {
+    let analysis = analyze(&[("crates/tpm/src/len_public.rs", "taint/len_public.rs")]);
+    assert_diags(&analysis, &[]);
+    let analysis = analyze(&[("crates/tpm/src/len_leak.rs", "taint/len_leak.rs")]);
+    assert_diags(
+        &analysis,
+        &[
+            (
+                "crates/tpm/src/len_leak.rs",
+                5,
+                "secret-taint",
+                "secret `session_key` flows into `eprintln!` in `log_key`",
+            ),
+            (
+                "crates/tpm/src/len_leak.rs",
+                6,
+                "secret-taint",
+                "secret `session_key` flows into `eprintln!` in `log_key`",
+            ),
+        ],
+    );
+}
+
 #[test]
 fn lock_discipline_flags_blocking_cycle_and_reentrancy() {
     let analysis = analyze(&[("crates/server/src/svc.rs", "locks/svc.rs")]);

@@ -30,7 +30,9 @@
 //! Fixed-delay timers (client timeouts, worker completions) go through
 //! [`EventQueue::schedule_in`], which keeps them in FIFO lanes; the
 //! jittered ones (deliveries, resends, arrivals) go through
-//! [`EventQueue::schedule`] and its heap.
+//! [`EventQueue::schedule`] and its calendar: a ring of
+//! millisecond-wide buckets, which a delivery a few milliseconds ahead
+//! joins with one append.
 
 use crate::admission::{Admission, AdmissionConfig};
 use crate::bus::{ClassStats, Frame, MessageBus, Payload};

@@ -75,11 +75,11 @@ fn different_seed_different_jitter_same_invariants() {
 }
 
 /// 100k clients through the full storm — slow in debug builds, run
-/// with `cargo test --release -p utp-netsim -- --ignored`. Unlike the
+/// with `cargo test --release -p utp-netsim -- --include-ignored`. Unlike the
 /// seed-42 storm, this one sheds (270,513 retry-afters), so its pinned
 /// digest also covers the shed path's transits and resends.
 #[test]
-#[ignore = "release-scale run; scripts/check.sh runs it with --release -- --ignored"]
+#[ignore = "release-scale run; scripts/check.sh runs it with --release -- --include-ignored"]
 fn hundred_k_clients_drain_deterministically() {
     let report = stormy_scenario(7, 12_500).run(); // 8 hubs × 12.5k
     assert_eq!(report.fleet, 100_000);

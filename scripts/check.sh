@@ -35,8 +35,8 @@ cargo test -q -p rand -p proptest -p crossbeam -p parking_lot
 echo "==> crypto suite optimized (perfbench measures release builds, where overflow checks are off)"
 cargo test --release -q -p utp-crypto
 
-echo "==> netsim release-scale run (the ignored 100k-client determinism test, pinned to crates/netsim/tests/fixtures/stormy_7_100k.digest)"
-cargo test --release -q -p utp-netsim -- --ignored
+echo "==> netsim suite optimized, with the ignored 100k-client determinism test (pinned to crates/netsim/tests/fixtures/stormy_7_100k.digest); perfbench measures release builds"
+cargo test --release -q -p utp-netsim -- --include-ignored
 
 echo "==> trace smoke (two E2 runs, byte-identical canonical JSONL)"
 cargo run --release -q -p utp-bench --bin trace_smoke
