@@ -1,10 +1,11 @@
 //! A small forward dataflow framework over [`crate::cfg::Cfg`].
 //!
 //! Passes define a [`Lattice`] (their per-program-point abstract state)
-//! and a transfer function over statements; [`solve`] runs a worklist
-//! to a fixpoint and returns each block's *entry* state. [`replay`]
-//! then re-walks each reached block from its entry state, so a pass
-//! checks its sinks at the pre-state of every statement.
+//! and a transfer function over statements, and call the one entry
+//! point, [`replay`]: a worklist runs the transfer to a fixpoint over
+//! each block's *entry* state, then each reached block is re-walked from
+//! its entry state, so a pass checks its sinks at the pre-state of every
+//! statement.
 //!
 //! Entry states are `Option<L>` with `None` meaning "not reached yet":
 //! this avoids inventing an artificial top element and naturally leaves
@@ -28,7 +29,7 @@ pub trait Lattice: Clone + PartialEq {
 /// Runs a forward worklist fixpoint. `init` seeds the entry block;
 /// `transfer` mutates the state across one statement. Returns the
 /// entry state of every block (`None` = unreachable).
-pub fn solve<L, F>(cfg: &Cfg, init: L, mut transfer: F) -> Vec<Option<L>>
+fn solve<L, F>(cfg: &Cfg, init: L, mut transfer: F) -> Vec<Option<L>>
 where
     L: Lattice,
     F: FnMut(&Stmt, &mut L),

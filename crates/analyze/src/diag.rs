@@ -138,7 +138,7 @@ mod tests {
         let a = Diagnostic {
             file: "a.rs".into(),
             line: 9,
-            lint: "wallclock-in-model",
+            lint: "untrusted-arith",
             severity: Severity::Deny,
             message: "m1".into(),
         };

@@ -23,7 +23,7 @@
 //! (method vs free). Each pass takes the side of an unknown call that
 //! errs toward a finding (see DESIGN.md).
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 use crate::items::{find_depth0, matching, parse_ty, skip_angles, CallSite, FnItem, Ty, Use};
 use crate::lexer::{Token, TokenKind};
@@ -340,6 +340,36 @@ impl WorkspaceIndex {
         let node = self.fns[idx];
         self.metas[node.file].is_src_ctx
             && !self.files[node.file].in_test_code(self.fn_item(idx).start_line)
+    }
+
+    /// Lifts a per-fn summary over the call graph: `step(f)` recomputes
+    /// fn `f`'s summary from its callees' and reports whether it grew.
+    /// Each fn of `domain` steps once, and again whenever a callee's
+    /// summary grows, until none does.
+    pub fn lift(
+        &self,
+        domain: impl IntoIterator<Item = usize>,
+        mut step: impl FnMut(usize) -> bool,
+    ) {
+        let mut queue: VecDeque<usize> = domain.into_iter().collect();
+        let mut queued = vec![false; self.fns.len()];
+        let mut callers = vec![Vec::new(); self.fns.len()];
+        for &f in &queue {
+            queued[f] = true;
+            for &g in &self.callees[f] {
+                callers[g].push(f);
+            }
+        }
+        while let Some(f) = queue.pop_front() {
+            queued[f] = false;
+            if step(f) {
+                for &c in &callers[f] {
+                    if !std::mem::replace(&mut queued[c], true) {
+                        queue.push_back(c);
+                    }
+                }
+            }
+        }
     }
 
     /// Live call sites the resolver could not place.
@@ -946,7 +976,7 @@ impl WorkspaceIndex {
         let n = self.fns.len();
         let mut reachable = vec![false; n];
         let mut parent = vec![None; n];
-        let mut queue: std::collections::VecDeque<usize> = (0..n)
+        let mut queue: VecDeque<usize> = (0..n)
             .filter(|&i| self.is_live_fn(i) && is_tcb_path(self.fn_path(i)))
             .collect();
         for &i in &queue {

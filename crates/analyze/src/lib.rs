@@ -18,8 +18,6 @@
 //!   panic-site list;
 //! * [`passes::ct_discipline`] — secret comparisons, branches and
 //!   indices go through `ct_eq`/`ct_select`;
-//! * [`passes::forbid_unsafe`] — `#![forbid(unsafe_code)]` everywhere;
-//! * [`passes::wallclock`] — the simulated clock is the only time source;
 //! * [`passes::secret_taint`] — key material must not flow to
 //!   Debug/logging/wire sinks;
 //! * [`passes::lock_discipline`] — consistent lock order, no guard held
@@ -35,10 +33,16 @@
 //! * [`passes::protocol_order`] — declarative happens-before rules
 //!   (WAL-before-ack, WAL-before-challenge) hold on every path.
 //!
+//! What the toolchain can check is left to it: the workspace lint table
+//! in `Cargo.toml` forbids `unsafe_code` in every package, and
+//! `clippy.toml` keeps the host clock out of the model.
+//!
 //! The interprocedural passes read one call resolver ([`graph`]), which
 //! places every call site on the fns it names — or reports it foreign or
-//! unknown; the flow-sensitive ones run over statement-level CFGs
-//! ([`cfg`](mod@cfg)) with a worklist fixpoint solver ([`dataflow`]).
+//! unknown — and lift per-fn summaries over its call graph with one
+//! worklist ([`graph::WorkspaceIndex::lift`]); the flow-sensitive ones
+//! run over statement-level CFGs ([`cfg`](mod@cfg)) with a worklist
+//! fixpoint solver ([`dataflow`]).
 //! `secret-taint`, `ct-discipline` and `untrusted-arith` are tables over
 //! one taint engine ([`taint`]).
 //!

@@ -21,12 +21,13 @@
 //!
 //! * **granting-set closure** — a function becomes a source itself for
 //!   the capabilities it holds on every exit that returns normally
-//!   (`?` and `return Err(..)` exits do not count against it), to a
-//!   bounded fixpoint. So the spec declares only the primitives, and
-//!   `check_evidence`, `Settler::settle_evidence` and `Batch::settle`
-//!   grant because they run them. A call grants only when it is
-//!   *placed*: an unknown call grants nothing. Guard-only capabilities
-//!   (`confirmed-checked`) stay in the fn that branched;
+//!   (`?` and `return Err(..)` exits do not count against it), to
+//!   convergence ([`WorkspaceIndex::lift`]). So the spec declares only
+//!   the primitives, and `check_evidence`, `Settler::settle_evidence`
+//!   and `Batch::settle` grant because they run them. A call grants
+//!   only when it is *placed*: an unknown call grants nothing.
+//!   Guard-only capabilities (`confirmed-checked`) stay in the fn that
+//!   branched;
 //! * **caller-context** — a sink missing capabilities locally is
 //!   accepted when *every* live in-scope caller establishes the missing
 //!   capabilities before *every* call site (recursively, to a bounded
@@ -53,15 +54,13 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::cfg::{Role, Stmt};
 use crate::graph::{chain_start, Resolution, WorkspaceIndex};
 use crate::items::matching;
-use crate::passes::flow::{calls_in, must_bits, must_walk, range_has_ident};
+use crate::lexer::Token;
+use crate::passes::flow::{calls_in, must_walk, range_has_ident};
 use crate::passes::{Finding, Pass};
 use crate::spec::{AuthzSpec, SinkKind, SinkSpec};
 
 /// Caller-context recursion bound.
 const MAX_CALLER_DEPTH: usize = 3;
-
-/// Granting-set closure iteration bound (wrapper-of-wrapper chains).
-const MAX_CLOSURE_ROUNDS: usize = 4;
 
 /// The pass (see module docs).
 pub struct AuthzFlow;
@@ -118,22 +117,15 @@ impl<'a> Env<'a> {
         let fold = |names: Vec<&Vec<String>>| names.into_iter().fold(0, |acc, n| acc | env.bits(n));
         let local = fold(spec.guards.iter().map(|g| &g.grants).collect())
             & !fold(spec.sources.iter().map(|s| &s.grants).collect());
-        for _ in 0..MAX_CLOSURE_ROUNDS {
-            let mut changed = false;
-            for idx in 0..ws.fns.len() {
-                if !env.analyzable(idx) || env.sink_fns[idx] {
-                    continue;
-                }
-                let held = must_walk(ws, idx, |s, st| env.transfer(idx, s, st), |_, _| {}) & !local;
-                if held & !env.grants[idx] != 0 {
-                    env.grants[idx] |= held;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
+        let wrappers: Vec<usize> = (0..ws.fns.len())
+            .filter(|&i| spec.analyzable(ws, i) && !env.sink_fns[i])
+            .collect();
+        ws.lift(wrappers, |idx| {
+            let held = must_walk(ws, idx, |t, k, h| env.grant(idx, t, k, h), |_, _| {}) & !local;
+            let grew = held & !env.grants[idx] != 0;
+            env.grants[idx] |= held;
+            grew
+        });
         env
     }
 
@@ -152,12 +144,6 @@ impl<'a> Env<'a> {
             .collect()
     }
 
-    /// Live library function inside the spec's scope, with a body.
-    fn analyzable(&self, idx: usize) -> bool {
-        let ws = self.ws;
-        ws.is_live_fn(idx) && self.spec.in_scope(ws.fn_path(idx)) && ws.fn_item(idx).body.is_some()
-    }
-
     /// What a call grants: what every fn it is placed on grants.
     fn call_grants(&self, res: &Resolution) -> u32 {
         match res.resolved() {
@@ -166,26 +152,12 @@ impl<'a> Env<'a> {
         }
     }
 
-    /// The transfer function: statements only *add* capabilities —
-    /// placed calls, and guard idents in branch conditions.
-    fn transfer(&self, idx: usize, s: &Stmt, state: &mut u32) {
-        let toks = &self.ws.files[self.ws.fns[idx].file].tokens;
-        let calls = &self.ws.fn_item(idx).calls;
-        let head = matches!(
-            s.role,
-            Role::If | Role::While | Role::Match | Role::MatchArm
-        );
-        *state |= must_bits(toks, s.lo, s.hi, head, &|j, head| {
-            let call = calls
-                .binary_search_by_key(&j, |c| c.tok)
-                .map_or(0, |k| self.call_grants(&self.ws.calls[idx][k]));
-            let guards = self
-                .spec
-                .guards
-                .iter()
-                .filter(|g| head && toks[j].is_ident(&g.ident));
-            guards.fold(call, |acc, g| acc | self.bits(&g.grants))
-        });
+    /// What one token of fn `idx` grants: a placed call, or a guard
+    /// ident in a branch condition. Statements only *add* capabilities.
+    fn grant(&self, idx: usize, tok: &Token, call: Option<usize>, head: bool) -> u32 {
+        let call = call.map_or(0, |k| self.call_grants(&self.ws.calls[idx][k]));
+        let guards = (self.spec.guards.iter()).filter(|g| head && tok.is_ident(&g.ident));
+        guards.fold(call, |acc, g| acc | self.bits(&g.grants))
     }
 
     /// Does the type the resolver gives the expression `toks[lo..hi]`
@@ -269,7 +241,7 @@ impl<'a> Env<'a> {
         must_walk(
             self.ws,
             caller,
-            |s, st| self.transfer(caller, s, st),
+            |t, k, h| self.grant(caller, t, k, h),
             |s, held| {
                 for (k, _) in calls_in(item, s) {
                     if self.ws.calls[caller][k].targets().contains(&target) {
@@ -297,7 +269,7 @@ impl<'a> Env<'a> {
         let callers: Vec<usize> = (0..self.ws.fns.len())
             .filter(|&i| {
                 i != target
-                    && self.analyzable(i)
+                    && self.spec.analyzable(self.ws, i)
                     && self.ws.callees[i].binary_search(&target).is_ok()
             })
             .collect();
@@ -318,14 +290,14 @@ pub(crate) fn analyze(ws: &WorkspaceIndex, spec: &AuthzSpec) -> Vec<(usize, Find
     let env = Env::new(ws, spec);
     let mut findings = Vec::new();
     for idx in 0..ws.fns.len() {
-        if !env.analyzable(idx) || env.sink_fns[idx] {
+        if !spec.analyzable(ws, idx) || env.sink_fns[idx] {
             continue;
         }
         let name = &ws.fn_item(idx).name;
         must_walk(
             ws,
             idx,
-            |s, st| env.transfer(idx, s, st),
+            |t, k, h| env.grant(idx, t, k, h),
             |s, held| {
                 for (sink, line) in env.sink_hits(idx, s) {
                     let any = env.bits(&sink.requires_any);
@@ -380,7 +352,7 @@ pub(crate) fn site_counts(
     let mut sinks: BTreeMap<String, usize> =
         spec.sinks.iter().map(|s| (s.name.clone(), 0)).collect();
     let mut functions = 0;
-    for idx in (0..ws.fns.len()).filter(|&i| env.analyzable(i)) {
+    for idx in (0..ws.fns.len()).filter(|&i| spec.analyzable(ws, i)) {
         functions += 1;
         for res in &ws.calls[idx] {
             for &t in res.resolved() {
@@ -393,7 +365,7 @@ pub(crate) fn site_counts(
             must_walk(
                 ws,
                 idx,
-                |_, _| {},
+                |_, _, _| 0,
                 |s, _| {
                     for (sink, _) in env.sink_hits(idx, s) {
                         *sinks.entry(sink.name.clone()).or_default() += 1;

@@ -3,7 +3,7 @@
 //! `if`/`match` inside one statement, statement shapes (`let` /
 //! reassignment), local-use detection, and postfix chains.
 
-use crate::cfg::{build_cfg, Stmt};
+use crate::cfg::{build_cfg, Role, Stmt};
 use crate::dataflow::{replay, Lattice};
 use crate::graph::WorkspaceIndex;
 use crate::items::{find_depth0, matching, CallSite, FnItem};
@@ -25,12 +25,21 @@ pub fn calls_in<'a>(item: &'a FnItem, s: &Stmt) -> impl Iterator<Item = (usize, 
 pub struct Branch {
     /// The condition or scrutinee.
     pub cond: (usize, usize),
-    /// The arm bodies, in order; an `else if` arm is the nested `if`.
-    pub arms: Vec<(usize, usize)>,
+    /// The arms, in order; an `else if` arm is the nested `if`.
+    pub arms: Vec<Arm>,
     /// Does one arm always run (an `if` with an `else`, or a `match`)?
     pub total: bool,
     /// The index past the construct.
     pub end: usize,
+}
+
+/// One arm of a [`Branch`].
+pub struct Arm {
+    /// A `match` arm's pattern and guard, the arm's own condition (as
+    /// in a CFG [`Role::MatchArm`]); empty for an `if` arm.
+    pub head: (usize, usize),
+    /// The arm's body.
+    pub body: (usize, usize),
 }
 
 /// The `if`/`match` construct starting at `j`, if one does; `None` too
@@ -42,6 +51,10 @@ pub fn branch_at(toks: &[Token], j: usize, hi: usize) -> Option<Branch> {
     let open = find_depth0(toks, j + 1, hi, |t| t.is_punct("{"))?;
     let close = matching(toks, open, "{", "}").filter(|&c| c < hi)?;
     let cond = (j + 1, open);
+    let arm = |lo: usize, hi: usize| Arm {
+        head: (lo, lo),
+        body: (lo, hi),
+    };
     if toks[j].is_ident("match") {
         let mut arms = Vec::new();
         let mut k = open + 1;
@@ -52,7 +65,10 @@ pub fn branch_at(toks: &[Token], j: usize, hi: usize) -> Option<Branch> {
             } else {
                 find_depth0(toks, start, close, |t| t.is_punct(",")).unwrap_or(close)
             };
-            arms.push((start, end));
+            arms.push(Arm {
+                head: (k, arrow),
+                body: (start, end),
+            });
             k = end + usize::from(toks.get(end).is_some_and(|t| t.is_punct(",")));
         }
         return Some(Branch {
@@ -62,7 +78,7 @@ pub fn branch_at(toks: &[Token], j: usize, hi: usize) -> Option<Branch> {
             end: close + 1,
         });
     }
-    let then = (open + 1, close);
+    let then = arm(open + 1, close);
     if !toks.get(close + 1).is_some_and(|t| t.is_ident("else")) || close + 2 >= hi {
         return Some(Branch {
             cond,
@@ -73,10 +89,10 @@ pub fn branch_at(toks: &[Token], j: usize, hi: usize) -> Option<Branch> {
     }
     let (other, end) = if toks[close + 2].is_ident("if") {
         let end = branch_at(toks, close + 2, hi)?.end;
-        ((close + 2, end), end)
+        (arm(close + 2, end), end)
     } else {
         let eclose = matching(toks, close + 2, "{", "}")?;
-        ((close + 3, eclose), eclose + 1)
+        (arm(close + 3, eclose), eclose + 1)
     };
     Some(Branch {
         cond,
@@ -88,9 +104,10 @@ pub fn branch_at(toks: &[Token], j: usize, hi: usize) -> Option<Branch> {
 
 /// Bits the tokens `lo..hi` of one statement set on every path through
 /// them. `leaf(j, head)` gives token `j`'s own bits (`head`: inside a
-/// branch condition); the arms of an embedded [`Branch`] add only what
-/// all of them set, and an `if` without `else` only its condition. This
-/// keeps `let x = match .. { .. }` from granting what only one arm does.
+/// branch condition, a `match` arm's head included); the arms of an
+/// embedded [`Branch`] add only what all of them set, and an `if`
+/// without `else` only its condition. This keeps
+/// `let x = match .. { .. }` from granting what only one arm does.
 pub fn must_bits(
     toks: &[Token],
     lo: usize,
@@ -104,7 +121,10 @@ pub fn must_bits(
         if let Some(b) = branch_at(toks, j, hi) {
             held |= must_bits(toks, b.cond.0, b.cond.1, true, leaf);
             if b.total {
-                let arms = (b.arms.iter()).map(|&(lo, hi)| must_bits(toks, lo, hi, false, leaf));
+                let arms = (b.arms.iter()).map(|a| {
+                    must_bits(toks, a.head.0, a.head.1, true, leaf)
+                        | must_bits(toks, a.body.0, a.body.1, false, leaf)
+                });
                 held |= arms.reduce(|a, b| a & b).unwrap_or(0);
             }
             j = b.end;
@@ -129,30 +149,38 @@ impl Lattice for Must {
     }
 }
 
-/// Runs a must-analysis over fn `idx`'s body (statements only *set*
-/// bits through `transfer`; merges keep what every path holds) and
-/// replays every reached statement through `visit` with the bits held
-/// before it. Returns the bits held on every exit that returns
-/// normally: the body's tail and each `return` other than
-/// `return Err(..)`. `?` and error exits do not count, and dead code is
-/// never visited.
+/// Runs a must-analysis over fn `idx`'s body and replays every reached
+/// statement through `visit` with the bits held before it. A statement
+/// sets the bits [`must_bits`] gives it, where `leaf(token, call, head)`
+/// gives one token's own (`call`: the index of the call site the token
+/// names, if any; `head`: inside a branch condition, a `match` arm's
+/// head included); merges keep what every path holds. Returns the bits
+/// held on every exit that returns normally: the body's tail and each
+/// `return` other than `return Err(..)`. `?` and error exits do not
+/// count, and dead code is never visited.
 pub fn must_walk(
     ws: &WorkspaceIndex,
     idx: usize,
-    transfer: impl Fn(&Stmt, &mut u32),
+    leaf: impl Fn(&Token, Option<usize>, bool) -> u32,
     mut visit: impl FnMut(&Stmt, u32),
 ) -> u32 {
     let toks = &ws.files[ws.fns[idx].file].tokens;
-    let Some(body) = ws.fn_item(idx).body else {
+    let item = ws.fn_item(idx);
+    let Some(body) = item.body else {
         return 0;
     };
     let cfg = build_cfg(toks, body);
-    let exits = replay(
-        &cfg,
-        Must(0),
-        |s, st| transfer(s, &mut st.0),
-        |s, st| visit(s, st.0),
-    );
+    let transfer = |s: &Stmt, st: &mut Must| {
+        let head = matches!(
+            s.role,
+            Role::If | Role::While | Role::Match | Role::MatchArm
+        );
+        st.0 |= must_bits(toks, s.lo, s.hi, head, &|j, head| {
+            let call = item.calls.binary_search_by_key(&j, |c| c.tok).ok();
+            leaf(&toks[j], call, head)
+        });
+    };
+    let exits = replay(&cfg, Must(0), transfer, |s, st| visit(s, st.0));
     let mut exit: Option<u32> = None;
     for (bi, (block, st)) in cfg.blocks.iter().zip(exits).enumerate() {
         let Some(Must(st)) = st else {

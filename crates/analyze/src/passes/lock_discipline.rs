@@ -44,7 +44,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::cfg::{build_cfg, Stmt};
-use crate::dataflow::{solve, Lattice};
+use crate::dataflow::{replay, Lattice};
 use crate::graph::{chain_start, WorkspaceIndex};
 use crate::items::{find_depth0, CallSite, FnItem};
 use crate::lexer::TokenKind;
@@ -148,20 +148,16 @@ impl Pass for LockDiscipline {
         let mut edges: EdgeSites = BTreeMap::new();
 
         for (idx, fl) in per_fn.iter().enumerate() {
-            if !subject(ws, idx) {
-                continue;
+            if ws.is_live_fn(idx) && !ws.fn_path(idx).starts_with("shims/") {
+                check_fn(ws, idx, fl, &summaries, &mut edges, &mut out);
             }
-            check_fn(ws, idx, fl, &summaries, &mut edges, &mut out);
         }
 
         // Cycle detection over the order graph.
-        let adj: BTreeMap<&String, BTreeSet<&String>> = {
-            let mut m: BTreeMap<&String, BTreeSet<&String>> = BTreeMap::new();
-            for (a, b) in edges.keys() {
-                m.entry(a).or_default().insert(b);
-            }
-            m
-        };
+        let mut adj: BTreeMap<&String, BTreeSet<&String>> = BTreeMap::new();
+        for (a, b) in edges.keys() {
+            adj.entry(a).or_default().insert(b);
+        }
         for ((a, b), sites) in &edges {
             if reaches(&adj, b, a) {
                 for (fi, line, fn_name) in sites {
@@ -183,11 +179,6 @@ impl Pass for LockDiscipline {
     }
 }
 
-/// Is fn `idx` a subject for findings (vs summary-only)?
-fn subject(ws: &WorkspaceIndex, idx: usize) -> bool {
-    ws.is_live_fn(idx) && !ws.fn_path(idx).starts_with("shims/")
-}
-
 fn is_lock_method(name: &str) -> bool {
     name == "lock" || name == "read" || name == "write"
 }
@@ -196,10 +187,8 @@ fn is_lock_method(name: &str) -> bool {
 #[derive(Debug, Default)]
 struct FnLocks {
     acquisitions: Vec<Acquisition>,
-    /// (line, op-name) of direct blocking calls.
-    blocking: Vec<(u32, String)>,
-    /// Token index of each blocking call, parallel to `blocking`.
-    blocking_toks: Vec<usize>,
+    /// (token, line, op-name) of direct blocking calls.
+    blocking: Vec<(usize, u32, String)>,
 }
 
 /// Shared per-fn context for the check walk.
@@ -225,8 +214,7 @@ fn analyze_fn(ws: &WorkspaceIndex, idx: usize) -> FnLocks {
 
     for c in &item.calls {
         if c.is_method && BLOCKING.contains(&c.name.as_str()) && !is_string_join(file, c) {
-            out.blocking.push((c.line, c.name.clone()));
-            out.blocking_toks.push(c.tok);
+            out.blocking.push((c.tok, c.line, c.name.clone()));
         }
         let is_acquire = c.is_method
             && c.args.0 == c.args.1
@@ -319,9 +307,9 @@ fn guard_shape(
     }
 }
 
-/// Runs the lockset fixpoint over `idx`'s CFG, then re-walks every
-/// reached block checking blocking ops, nested acquisitions, callee
-/// summaries and stale guarded reads against per-statement state.
+/// Replays the lockset over `idx`'s CFG, checking blocking ops, nested
+/// acquisitions, callee summaries and stale guarded reads against each
+/// statement's lockset.
 fn check_fn(
     ws: &WorkspaceIndex,
     idx: usize,
@@ -333,18 +321,12 @@ fn check_fn(
     if fl.acquisitions.is_empty() {
         return;
     }
-    let node = ws.fns[idx];
-    let fi = node.file;
+    let fi = ws.fns[idx].file;
     let file = &ws.files[fi];
     let item = ws.fn_item(idx);
     let Some(body) = item.body else {
         return;
     };
-    let cfg = build_cfg(&file.tokens, body);
-    let entries = solve(&cfg, LockState::default(), |s, st| {
-        prune(st, s, fl);
-        gen_kill(st, s, file, item, fl);
-    });
     let cx = FnCtx {
         ws,
         idx,
@@ -354,17 +336,21 @@ fn check_fn(
         fl,
         summaries,
     };
-    for (bi, block) in cfg.blocks.iter().enumerate() {
-        let Some(entry) = &entries[bi] else {
-            continue;
-        };
-        let mut st = entry.clone();
-        for s in &block.stmts {
+    replay(
+        &build_cfg(&file.tokens, body),
+        LockState::default(),
+        |s, st| {
+            prune(st, s, fl);
+            gen_kill(st, s, file, item, fl);
+        },
+        // The check sees the lockset the statement runs under: its entry
+        // state after the transfer's first step, the scope pruning.
+        |s, entry| {
+            let mut st = entry.clone();
             prune(&mut st, s, fl);
             check_stmt(&cx, &st, s, edges, out);
-            gen_kill(&mut st, s, file, item, fl);
-        }
-    }
+        },
+    );
 }
 
 /// Drops guards whose lexical scope does not cover this statement —
@@ -519,8 +505,7 @@ fn check_stmt(
     };
 
     // 1. Blocking ops while a guard may be held.
-    for (bi, (line, op)) in fl.blocking.iter().enumerate() {
-        let t = fl.blocking_toks[bi];
+    for &(t, line, ref op) in &fl.blocking {
         if t < s.lo || t >= s.hi {
             continue;
         }
@@ -529,7 +514,7 @@ fn check_stmt(
             out.push((
                 cx.fi,
                 Finding::deny(
-                    *line,
+                    line,
                     format!(
                         "guard `{}` is held across blocking `.{}()` in `{}`; \
                          a full/empty bounded channel parks this thread while \
@@ -667,48 +652,35 @@ fn check_stmt(
     }
 }
 
-/// Fixpoint of per-fn summaries over the call graph.
+/// Per-fn summaries lifted over the call graph: a fn acquires and
+/// blocks on whatever the fns it may call do.
 fn transitive_summaries(ws: &WorkspaceIndex, per_fn: &[FnLocks]) -> Vec<Summary> {
     let mut sums: Vec<Summary> = per_fn
         .iter()
         .map(|fl| Summary {
             locks: fl.acquisitions.iter().map(|a| a.name.clone()).collect(),
-            blocks: fl.blocking.first().map(|(_, op)| op.clone()),
+            blocks: fl.blocking.first().map(|(_, _, op)| op.clone()),
         })
         .collect();
-    loop {
-        let mut changed = false;
-        for idx in 0..ws.fns.len() {
-            let item = ws.fn_item(idx);
-            let folded = item
-                .calls
-                .iter()
-                .zip(&ws.calls[idx])
-                .filter(|(c, _)| !is_lock_method(&c.name) && c.name != "drop")
-                .flat_map(|(_, r)| r.targets().iter().copied());
-            for g in folded.collect::<Vec<_>>() {
-                if g == idx {
-                    continue;
-                }
-                let (callee_locks, callee_blocks) = (sums[g].locks.clone(), sums[g].blocks.clone());
-                let me = &mut sums[idx];
-                for l in callee_locks {
-                    if me.locks.insert(l) {
-                        changed = true;
-                    }
-                }
-                if me.blocks.is_none() {
-                    if let Some(op) = callee_blocks {
-                        me.blocks = Some(op);
-                        changed = true;
-                    }
-                }
+    ws.lift(0..ws.fns.len(), |idx| {
+        let folded = (ws.fn_item(idx).calls.iter().zip(&ws.calls[idx]))
+            .filter(|(c, _)| !is_lock_method(&c.name) && c.name != "drop")
+            .flat_map(|(_, r)| r.targets().iter().copied());
+        let mut grew = false;
+        for g in folded.filter(|&g| g != idx) {
+            let Summary { locks, blocks } = sums[g].clone();
+            let me = &mut sums[idx];
+            for l in locks {
+                grew |= me.locks.insert(l);
+            }
+            if me.blocks.is_none() && blocks.is_some() {
+                me.blocks = blocks;
+                grew = true;
             }
         }
-        if !changed {
-            return sums;
-        }
-    }
+        grew
+    });
+    sums
 }
 
 /// Is `to` reachable from `from` in the order graph?

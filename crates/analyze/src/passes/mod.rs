@@ -3,14 +3,12 @@
 pub mod authz_flow;
 pub mod ct_discipline;
 pub mod flow;
-pub mod forbid_unsafe;
 pub mod lock_discipline;
 pub mod no_panic;
 pub mod protocol_order;
 pub mod secret_taint;
 pub mod tcb;
 pub mod untrusted_arith;
-pub mod wallclock;
 
 use crate::diag::Severity;
 use crate::graph::WorkspaceIndex;
@@ -71,8 +69,6 @@ pub fn registry() -> Vec<Box<dyn Pass>> {
         }),
         Box::new(no_panic::NoPanic { transitive: false }),
         Box::new(ct_discipline::CtDiscipline),
-        Box::new(forbid_unsafe::ForbidUnsafeEverywhere),
-        Box::new(wallclock::WallclockInModel),
         Box::new(tcb::Tcb { reachability: true }),
         Box::new(no_panic::NoPanic { transitive: true }),
         Box::new(secret_taint::SecretTaint),

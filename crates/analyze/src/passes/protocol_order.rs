@@ -24,8 +24,9 @@
 //! *performer closure* lifts the rule across the call graph: a function
 //! that contains a before-event and discharges the rule (BEFORE or
 //! GUARD) on every exit that returns normally becomes a before-event
-//! itself — `Batch::commit` syncs or is in no-journal mode, so the
-//! worker's call to it performs the barrier before any reply. Only
+//! itself, to convergence ([`WorkspaceIndex::lift`]) — `Batch::commit`
+//! syncs or is in no-journal mode, so the worker's call to it performs
+//! the barrier before any reply. Only
 //! *placed* calls perform; an after-event is matched on every fn a call
 //! may reach. Functions containing no
 //! before-event at all are skipped entirely — a recovery path that never
@@ -34,15 +35,11 @@
 
 use std::collections::BTreeMap;
 
-use crate::cfg::{Role, Stmt};
-use crate::graph::chain_start;
-use crate::graph::WorkspaceIndex;
-use crate::passes::flow::{calls_in, must_bits, must_walk, range_has_ident};
+use crate::graph::{chain_start, WorkspaceIndex};
+use crate::lexer::Token;
+use crate::passes::flow::{calls_in, must_walk, range_has_ident};
 use crate::passes::{Finding, Pass};
 use crate::spec::{AuthzSpec, OrderRule};
-
-/// Performer-closure iteration bound (wrapper-of-wrapper chains).
-const MAX_CLOSURE_ROUNDS: usize = 4;
 
 /// The before-event happened on every path here.
 const BEFORE: u32 = 1;
@@ -80,21 +77,16 @@ impl<'a> Rule<'a> {
             rule,
             performers: vec![false; ws.fns.len()],
         };
-        for _ in 0..MAX_CLOSURE_ROUNDS {
-            let mut changed = false;
-            for idx in 0..ws.fns.len() {
-                if r.performers[idx] || !analyzable(ws, spec, idx) || !r.aware(idx) {
-                    continue;
-                }
-                if must_walk(ws, idx, |s, st| r.transfer(idx, s, st), |_, _| {}) != 0 {
-                    r.performers[idx] = true;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
+        let domain: Vec<usize> = (0..ws.fns.len())
+            .filter(|&i| spec.analyzable(ws, i))
+            .collect();
+        ws.lift(domain, |idx| {
+            let grew = !r.performers[idx]
+                && r.aware(idx)
+                && must_walk(ws, idx, |t, k, h| r.event(idx, t, k, h), |_, _| {}) != 0;
+            r.performers[idx] |= grew;
+            grew
+        });
         r
     }
 
@@ -135,33 +127,13 @@ impl<'a> Rule<'a> {
         (0..self.ws.calls[idx].len()).any(|k| self.is_before(idx, k))
     }
 
-    /// The transfer function: statements only *set* bits (before-events,
-    /// and the guard ident in a branch condition); merges clear them.
-    fn transfer(&self, idx: usize, s: &Stmt, state: &mut u32) {
-        let toks = &self.ws.files[self.ws.fns[idx].file].tokens;
-        let calls = &self.ws.fn_item(idx).calls;
-        let head = matches!(
-            s.role,
-            Role::If | Role::While | Role::Match | Role::MatchArm
-        );
-        *state |= must_bits(toks, s.lo, s.hi, head, &|j, head| {
-            let before = calls
-                .binary_search_by_key(&j, |c| c.tok)
-                .is_ok_and(|k| self.is_before(idx, k));
-            let guard = head
-                && self
-                    .rule
-                    .guard_ident
-                    .as_ref()
-                    .is_some_and(|g| toks[j].is_ident(g));
-            (u32::from(before) * BEFORE) | (u32::from(guard) * GUARD)
-        });
+    /// The bits one token of fn `idx` sets: a before-event call, and
+    /// the guard ident in a branch condition. Merges clear them.
+    fn event(&self, idx: usize, tok: &Token, call: Option<usize>, head: bool) -> u32 {
+        let before = call.is_some_and(|k| self.is_before(idx, k));
+        let guard = head && (self.rule.guard_ident.as_ref()).is_some_and(|g| tok.is_ident(g));
+        (u32::from(before) * BEFORE) | (u32::from(guard) * GUARD)
     }
-}
-
-/// Live library function inside the spec's scope, with a body.
-fn analyzable(ws: &WorkspaceIndex, spec: &AuthzSpec, idx: usize) -> bool {
-    ws.is_live_fn(idx) && spec.in_scope(ws.fn_path(idx)) && ws.fn_item(idx).body.is_some()
 }
 
 /// Runs the pass over the workspace: findings, and the after-event
@@ -176,14 +148,14 @@ pub(crate) fn analyze(
         let r = Rule::new(ws, spec, rule);
         let mut n = 0;
         for idx in 0..ws.fns.len() {
-            if !analyzable(ws, spec, idx) || !r.aware(idx) {
+            if !spec.analyzable(ws, idx) || !r.aware(idx) {
                 continue;
             }
             let item = ws.fn_item(idx);
             must_walk(
                 ws,
                 idx,
-                |s, st| r.transfer(idx, s, st),
+                |t, k, h| r.event(idx, t, k, h),
                 |s, held| {
                     for (k, call) in calls_in(item, s) {
                         if !r.is_after(idx, k) {

@@ -1,4 +1,4 @@
-//! Pass 10: length/offset values decoded from untrusted bytes (the WAL,
+//! Pass 8: length/offset values decoded from untrusted bytes (the WAL,
 //! the wire codec, evidence blobs) must pass a bounds check before they
 //! feed arithmetic, slice indexing, or a narrowing cast.
 //!

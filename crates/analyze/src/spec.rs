@@ -122,6 +122,11 @@ impl AuthzSpec {
         self.scope.iter().any(|p| path.starts_with(p.as_str()))
     }
 
+    /// Is fn `idx` a live library fn inside the scope, with a body?
+    pub fn analyzable(&self, ws: &WorkspaceIndex, idx: usize) -> bool {
+        ws.is_live_fn(idx) && self.in_scope(ws.fn_path(idx)) && ws.fn_item(idx).body.is_some()
+    }
+
     /// The capability universe, in order of first appearance; the
     /// passes use the index as a lattice bit.
     pub fn capabilities(&self) -> Vec<&str> {

@@ -26,11 +26,10 @@
 //! * one return summary: a fn whose return position carries taint taints
 //!   every call that may reach it ([`Resolution::targets`]); a method
 //!   call counts only when its receiver is itself tainted (a signature
-//!   computed *from* a key is not the key). A worklist over callers runs
-//!   it to convergence: the summary only grows and the fns are finite.
+//!   computed *from* a key is not the key). The call graph's one
+//!   worklist ([`WorkspaceIndex::lift`]) runs it to convergence.
 
 use std::borrow::Cow;
-use std::collections::VecDeque;
 
 use crate::cfg::{build_cfg, Role, Stmt};
 use crate::dataflow::{replay, JoinMap, Lattice};
@@ -148,33 +147,14 @@ impl<'a> Engine<'a> {
             returns: seed,
             flows: vec![None; n],
         };
-        let scoped: Vec<usize> = (0..n)
-            .filter(|&f| ws.is_live_fn(f) && (table.scope)(ws.fn_path(f)))
-            .collect();
-        let mut callers = vec![Vec::new(); n];
-        for &f in &scoped {
-            for &g in &ws.callees[f] {
-                callers[g].push(f);
-            }
-        }
-        let mut queued = vec![false; n];
-        for &f in &scoped {
-            queued[f] = true;
-        }
-        let mut queue = VecDeque::from(scoped);
-        while let Some(f) = queue.pop_front() {
-            queued[f] = false;
+        let scoped = (0..n).filter(|&f| ws.is_live_fn(f) && (table.scope)(ws.fn_path(f)));
+        ws.lift(scoped, |f| {
             let (flow, returns) = e.solve(f);
             e.flows[f] = Some(flow);
-            if returns && !e.returns[f] && !(table.public_fn)(&ws.fn_item(f).name) {
-                e.returns[f] = true;
-                for &c in &callers[f] {
-                    if !std::mem::replace(&mut queued[c], true) {
-                        queue.push_back(c);
-                    }
-                }
-            }
-        }
+            let grew = returns && !e.returns[f] && !(table.public_fn)(&ws.fn_item(f).name);
+            e.returns[f] |= grew;
+            grew
+        });
         e
     }
 
@@ -276,12 +256,16 @@ impl FnCx<'_> {
         while j < hi {
             if let Some(b) = flow::branch_at(self.toks, j, hi) {
                 v = join(v, self.eval(b.cond.0, b.cond.1, env));
-                let checked = self.table.checks.then(|| {
-                    let mut e = env.clone();
-                    self.check(&mut e, b.cond.0, b.cond.1);
-                    e
-                });
-                for &(lo, hi) in &b.arms {
+                for arm in &b.arms {
+                    // The condition, and a `match` arm's own pattern and
+                    // guard, check what the arm's body sees.
+                    let checked = self.table.checks.then(|| {
+                        let mut e = env.clone();
+                        self.check(&mut e, b.cond.0, b.cond.1);
+                        self.check(&mut e, arm.head.0, arm.head.1);
+                        e
+                    });
+                    let (lo, hi) = arm.body;
                     v = join(v, self.eval(lo, hi, checked.as_ref().unwrap_or(env)));
                 }
                 j = b.end;

@@ -214,10 +214,14 @@ fn protocol_order_flags_register_before_wal_only() {
 
 /// Caller-context lifting: a sink with no local authorization is clean
 /// when every caller establishes the capabilities before the call, and
-/// denied when its only caller establishes nothing.
+/// denied when its only caller establishes nothing. A chain of five
+/// wrappers around the evidence check still grants (`authz_chain.rs`).
 #[test]
 fn authz_flow_lifts_authorization_through_callers() {
-    let analysis = analyze(&[("crates/server/src/authz_lift.rs", "authz_lift.rs")]);
+    let analysis = analyze(&[
+        ("crates/server/src/authz_chain.rs", "authz_chain.rs"),
+        ("crates/server/src/authz_lift.rs", "authz_lift.rs"),
+    ]);
     assert_diags(
         &analysis,
         &[(

@@ -198,65 +198,33 @@ fn ct_discipline_only_applies_to_crypto_and_tpm_auth_paths() {
     );
 }
 
-// ---- pass 4: forbid-unsafe-everywhere --------------------------------------
+// ---- untrusted-arith ------------------------------------------------------
 
+/// A `match` arm's guard is that arm's check, and no other arm's: the
+/// lane-index shape of a bounded queue.
 #[test]
-fn forbid_unsafe_flags_crate_root_without_attribute() {
-    let diags = analyze_source("crates/tpm/src/lib.rs", "pub mod device;\n");
-    assert_finding(&diags, "forbid-unsafe-everywhere", 1);
-}
-
-#[test]
-fn forbid_unsafe_accepts_crate_root_with_attribute() {
-    let src = "//! Docs.\n#![forbid(unsafe_code)]\npub mod device;\n";
-    assert_no_finding(
-        &analyze_source("crates/tpm/src/lib.rs", src),
-        "forbid-unsafe-everywhere",
-    );
-}
-
-#[test]
-fn forbid_unsafe_only_checks_crate_roots() {
-    assert_no_finding(
-        &analyze_source("crates/tpm/src/device.rs", "pub struct Tpm;\n"),
-        "forbid-unsafe-everywhere",
-    );
-}
-
-// ---- pass 5: wallclock-in-model --------------------------------------------
-
-#[test]
-fn wallclock_flags_instant_and_system_time_in_model_code() {
-    let src = "\
-use std::time::{Instant, SystemTime};
-fn f() {
-    let t = Instant::now();
-    let s = SystemTime::now();
-}
-";
-    let diags = analyze_source("crates/server/src/fixture.rs", src);
-    assert_finding(&diags, "wallclock-in-model", 3);
-    // Line 1 and 4 mention SystemTime too; at minimum the call site.
-    assert!(
-        diags
-            .iter()
-            .filter(|d| d.lint == "wallclock-in-model")
-            .count()
-            >= 2
-    );
-}
-
-#[test]
-fn wallclock_exempts_bench_and_metrics() {
-    let src = "fn f() { let t = std::time::Instant::now(); }\n";
-    assert_no_finding(
-        &analyze_source("crates/bench/src/fixture.rs", src),
-        "wallclock-in-model",
-    );
-    assert_no_finding(
-        &analyze_source("crates/server/src/metrics.rs", src),
-        "wallclock-in-model",
-    );
+fn untrusted_arith_reads_a_match_guard_as_its_own_arms_check() {
+    let src = |other: &str| {
+        format!(
+            "\
+fn lane(r: &mut Reader, lanes: &mut Vec<u64>) -> u64 {{
+    let n = r.u32().unwrap() as usize;
+    let lane = match lanes.pop() {{
+        Some(_) => 0,
+        None if n < MAX => {{
+            lanes.push(0);
+            n - 1
+        }}
+        None => {other},
+    }};
+    lanes[lane]
+}}
+"
+        )
+    };
+    let path = "crates/journal/src/fixture.rs";
+    assert_no_finding(&analyze_source(path, &src("0")), "untrusted-arith");
+    assert_finding(&analyze_source(path, &src("n")), "untrusted-arith", 11);
 }
 
 // ---- annotation meta-lints -------------------------------------------------

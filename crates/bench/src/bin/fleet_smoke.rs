@@ -10,6 +10,9 @@
 //!
 //! [`FleetReport`]: utp_netsim::FleetReport
 
+// Times the nightly run against its budget on the host clock.
+#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use std::fmt::Write as _;
 use std::fs;
 use std::process::ExitCode;

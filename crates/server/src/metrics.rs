@@ -4,9 +4,12 @@
 //! [`Counter`] and [`Gauge`] are the lock-free atomics the verification
 //! service bumps on its hot paths; `VerifierService::stats()` reads
 //! them into a [`ServiceStats`] snapshot, and the bench harness
-//! flattens that snapshot straight into its perf artifact. The
-//! `wallclock-in-model` analyzer pass exempts exactly this file, so
-//! [`host_timed`] and [`HostStopwatch`] must live here.
+//! flattens that snapshot straight into its perf artifact. Outside the
+//! bench harness, this file alone allows clippy's `disallowed_methods`
+//! (`Instant::now`, banned in `clippy.toml`), so [`host_timed`] and
+//! [`HostStopwatch`] must live here.
+
+#![allow(clippy::disallowed_methods)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -181,7 +184,7 @@ impl ServiceStats {
 /// Measures the host CPU time of `f` and returns its result alongside.
 ///
 /// This module is the single place the simulation may read the host
-/// clock (the `wallclock-in-model` pass exempts it): callers fold the
+/// clock (it allows clippy's `disallowed_methods`): callers fold the
 /// measured duration into virtual time via `Machine::advance`, so the
 /// rest of the model stays deterministic.
 pub fn host_timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {

@@ -1101,15 +1101,19 @@ mod tests {
         for r in &w.requests {
             svc.register(r, w.now);
         }
-        // Burst far faster than one worker can verify: cloning and
-        // enqueueing evidence is orders of magnitude cheaper than an RSA
-        // verify, so the gauge is non-zero for most submissions and the
-        // policy must fire. Replays of one evidence still pay the
-        // full crypto path before the settle table rejects them.
-        let mut tickets = Vec::new();
+        // Holding the certificate cache stalls the worker inside the
+        // first job, so the burst meets a queue nobody drains, however
+        // the threads are scheduled: the first job runs, the second
+        // waits at the ceiling, and every later one is shed.
+        let stall = svc.inner.settlement.cache.state.lock();
+        let first = svc.try_submit_evidence(w.evidence[0].clone(), w.now);
+        let mut tickets = vec![first.expect("an idle service admits")];
+        while svc.queue_depth() > 0 {
+            std::thread::yield_now();
+        }
         let mut overloaded = 0u64;
         let mut hint = Duration::ZERO;
-        for _ in 0..512 {
+        for _ in 1..512 {
             match svc.try_submit_evidence(w.evidence[0].clone(), w.now) {
                 Ok(t) => tickets.push(t),
                 Err(SubmitError::Overloaded { retry_after }) => {
@@ -1119,14 +1123,16 @@ mod tests {
                 Err(e) => panic!("queue is deeper than the policy: {e}"),
             }
         }
+        drop(stall);
         for t in tickets {
             let _ = t.wait();
         }
-        assert!(overloaded > 0, "the burst must trip admission control");
-        // floor (200µs) + at least one queued job's worth (200µs).
-        assert!(
-            hint >= Duration::from_micros(400),
-            "retry hint must reflect the backlog: {hint:?}"
+        assert_eq!(overloaded, 510, "all but the running and the queued job");
+        // floor (200µs) + the one queued job's worth (200µs).
+        assert_eq!(
+            hint,
+            Duration::from_micros(400),
+            "retry hint must reflect the backlog"
         );
         let stats = svc.shutdown();
         assert_eq!(
